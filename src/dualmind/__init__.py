@@ -22,7 +22,6 @@ from .core import (
     NodeState,
     Packet,
     Provenance,
-    RolloutReward,
     ScenarioConfig,
     ScheduleAction,
     UnknownScenario,

@@ -13,7 +13,6 @@ from typing import Sequence
 from .core import (
     BUILTIN_SCENARIOS,
     InvalidConfig,
-    RolloutReward,
     ScenarioConfig,
     UnknownScenario,
     builtin_scenario,
@@ -62,8 +61,6 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
         overrides["steps"] = args.steps
     if getattr(args, "horizon", None) is not None:
         overrides["horizon"] = args.horizon
-    if getattr(args, "rollout_reward", None) is not None:
-        overrides["rollout_reward_mode"] = RolloutReward(args.rollout_reward)
     return validate_config(replace(cfg, **overrides))
 
 
@@ -181,12 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--steps", type=int, default=None, help="override slots per run")
     run_p.add_argument("--seed", type=int, default=42)
     run_p.add_argument("--horizon", type=int, default=None, help="override planning horizon")
-    run_p.add_argument(
-        "--rollout-reward",
-        choices=[mode.value for mode in RolloutReward],
-        default=None,
-        help="override the rollout scoring rule",
-    )
     run_p.add_argument("--out", default=_default_out(), help=f"output dir (or ${OUT_DIR_ENV})")
     run_p.add_argument(
         "--independent-traffic",

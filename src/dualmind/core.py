@@ -37,19 +37,6 @@ class UnknownScenario(ValueError):
     """Requested scenario is not a builtin name."""
 
 
-class RolloutReward(Enum):
-    """Scoring rule for imagined rollouts.
-
-    LITERAL credits every node that still holds packets at each imagined
-    step, so it favours keeping queues backlogged. SERVED credits only
-    scheduled nodes that actually have something to send, matching the
-    per-slot transmission reward, and is the default.
-    """
-
-    LITERAL = "literal"
-    SERVED = "served"
-
-
 class Provenance(Enum):
     """Which mind produced a schedule: deliberate rollout or a reactive rule."""
 
@@ -127,7 +114,6 @@ class ScenarioConfig:
     burst_nodes: frozenset[int] = frozenset()
     burst_probability: float = 0.05
     burst_amplitude_range: tuple[float, float] = (2.0, 5.0)
-    rollout_reward_mode: RolloutReward = RolloutReward.SERVED
     fallback_conflict_aware: bool = False
     base_seed: int = 42
 
@@ -248,7 +234,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "burst_nodes": sorted(cfg.burst_nodes),
         "burst_probability": cfg.burst_probability,
         "burst_amplitude_range": list(cfg.burst_amplitude_range),
-        "rollout_reward_mode": cfg.rollout_reward_mode.value,
         "fallback_conflict_aware": cfg.fallback_conflict_aware,
         "base_seed": cfg.base_seed,
     }
@@ -260,7 +245,6 @@ _OPTIONAL_FIELDS = (
     "burst_nodes",
     "burst_probability",
     "burst_amplitude_range",
-    "rollout_reward_mode",
     "fallback_conflict_aware",
     "base_seed",
 )
@@ -279,10 +263,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         n_nodes=1, max_scheduled=1, buffer=1, steps=1, horizon=1,
         lambda_base=(1.0,), deadlines=(None,),
     )
-    try:
-        mode = RolloutReward(doc.get("rollout_reward_mode", defaults.rollout_reward_mode.value))
-    except ValueError:
-        raise InvalidConfig("rollout_reward_mode", "must be 'literal' or 'served'") from None
+    conflict_aware = doc.get("fallback_conflict_aware", defaults.fallback_conflict_aware)
+    if not isinstance(conflict_aware, bool):
+        raise InvalidConfig("fallback_conflict_aware", "must be true or false")
     cfg = ScenarioConfig(
         n_nodes=int(doc["n_nodes"]),
         max_scheduled=int(doc["max_scheduled"]),
@@ -299,8 +282,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         burst_amplitude_range=tuple(
             float(x) for x in doc.get("burst_amplitude_range", defaults.burst_amplitude_range)
         ),
-        rollout_reward_mode=mode,
-        fallback_conflict_aware=bool(doc.get("fallback_conflict_aware", False)),
+        fallback_conflict_aware=conflict_aware,
         base_seed=int(doc.get("base_seed", defaults.base_seed)),
     )
     return validate_config(cfg)

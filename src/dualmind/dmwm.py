@@ -1,9 +1,10 @@
 """The dual-mind scheduler.
 
-The slow mind drains a copy of the observed queues over a short horizon for
-every feasible schedule and keeps the best-scoring one. The fast mind is a
-queue-times-urgency fallback for slots where no feasible schedule exists.
-Every decision is logged so a run's planning behaviour can be audited.
+The slow mind scores every feasible schedule by the packets a drain-only
+rollout of the observed queues would send over a short horizon, and keeps
+the best-scoring one. The fast mind is a queue-times-urgency fallback for
+slots where no feasible schedule exists. Every decision is logged so a
+run's planning behaviour can be audited.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ConflictGraph, Provenance, RolloutReward, ScenarioConfig, ScheduleAction
+from .core import ConflictGraph, Provenance, ScenarioConfig, ScheduleAction
 from .icn import enumerate_feasible
-from .twin import Observation
+from .twin import Observation, imagined_next
 
 
 @dataclass(frozen=True)
@@ -25,48 +26,38 @@ class RolloutResult:
     trajectory: tuple[tuple[int, ...], ...]
 
 
-def rollout(
-    q: Sequence[int], schedule: Sequence[int], horizon: int, mode: RolloutReward
-) -> RolloutResult:
+def rollout(q: Sequence[int], schedule: Sequence[int], horizon: int) -> RolloutResult:
     """Apply the same schedule for `horizon` imagined steps with no arrivals.
 
-    The reward accumulates on the state before each drain step: LITERAL
-    counts all backlogged nodes, SERVED counts only scheduled nodes that
-    still hold a packet.
+    The reward accumulates on the state before each drain step and counts
+    the scheduled nodes that still hold a packet. This is the reference
+    that slow_mind_select's closed form must agree with.
     """
     members = tuple(schedule)
-    current = list(q)
-    trajectory = [tuple(current)]
+    trajectory = [tuple(q)]
     reward = 0
     for _ in range(horizon):
-        if mode is RolloutReward.LITERAL:
-            reward += sum(1 for length in current if length > 0)
-        else:
-            reward += sum(1 for i in members if current[i] > 0)
-        for i in members:
-            if current[i] > 0:
-                current[i] -= 1
-        trajectory.append(tuple(current))
+        current = trajectory[-1]
+        reward += sum(1 for i in members if current[i] > 0)
+        trajectory.append(imagined_next(current, members))
     return RolloutResult(schedule=members, reward=reward, trajectory=tuple(trajectory))
 
 
 def slow_mind_select(
-    feasible: Sequence[Sequence[int]],
-    q: Sequence[int],
-    horizon: int,
-    mode: RolloutReward,
-) -> RolloutResult | None:
-    """Best rollout over the feasible schedules; None when there are none.
+    feasible: Sequence[tuple[int, ...]], q: Sequence[int], horizon: int
+) -> tuple[tuple[int, ...], int] | None:
+    """Best feasible schedule and its rollout score; None when there are none.
 
-    Only a strict improvement replaces the incumbent, so ties keep the
-    earliest schedule in enumeration order.
+    Draining schedule S for `horizon` steps sends min(q_i, horizon) packets
+    from each member, so the rollout score is the sum of those weights over
+    S and no trajectory is needed. max() keeps the first maximum, so ties
+    keep the earliest schedule in enumeration order.
     """
-    best: RolloutResult | None = None
-    for candidate in feasible:
-        result = rollout(q, candidate, horizon, mode)
-        if best is None or result.reward > best.reward:
-            best = result
-    return best
+    if not feasible:
+        return None
+    w = [min(v, horizon) for v in q]
+    best = max(feasible, key=lambda s: sum(w[i] for i in s))
+    return best, sum(w[i] for i in best)
 
 
 def fast_mind_select(
@@ -116,14 +107,14 @@ def dmwm_decide(obs: Observation, cfg: ScenarioConfig) -> tuple[ScheduleAction, 
         cfg.n_nodes, cfg.max_scheduled, obs.q, obs.oldest_age, cfg.deadlines, cfg.conflict_graph
     )
     if feasible:
-        best = slow_mind_select(feasible, obs.q, cfg.horizon, cfg.rollout_reward_mode)
-        action = ScheduleAction(nodes=frozenset(best.schedule), provenance=Provenance.SLOW_MIND)
+        schedule, score = slow_mind_select(feasible, obs.q, cfg.horizon)
+        action = ScheduleAction(nodes=frozenset(schedule), provenance=Provenance.SLOW_MIND)
         record = DecisionRecord(
             slot=obs.t,
             provenance=Provenance.SLOW_MIND,
-            nodes=best.schedule,
+            nodes=schedule,
             feasible_count=len(feasible),
-            best_reward=best.reward,
+            best_reward=score,
         )
     else:
         picked = fast_mind_select(

@@ -26,7 +26,7 @@ from .baselines import (
     QLearningPolicy,
     RandomPolicy,
 )
-from .core import BUILTIN_SCENARIOS, ScenarioConfig, builtin_scenario
+from .core import BUILTIN_SCENARIOS, ScenarioConfig, builtin_scenario, validate_config
 from .dmwm import DecisionRecord, DmwmScheduler
 from .traffic import policy_stream, traffic_streams
 from .twin import (
@@ -156,7 +156,7 @@ def _resolve_scenarios(
         if horizon is not None:
             overrides["horizon"] = horizon
         if overrides:
-            cfg = replace(cfg, **overrides)
+            cfg = validate_config(replace(cfg, **overrides))
         resolved.append((name, cfg))
     return resolved
 

@@ -1,6 +1,17 @@
 """Shared test helpers."""
 
-from dualmind.core import ConflictGraph, RolloutReward, ScenarioConfig
+import hashlib
+import json
+from pathlib import Path
+
+from dualmind.core import ConflictGraph, ScenarioConfig
+
+# SHA-256 of the seed-42 CLI outputs; a change here is a change in results.
+GOLDEN_SHA256 = json.loads((Path(__file__).parent / "golden" / "sha256.json").read_text())
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def make_cfg(
@@ -16,7 +27,6 @@ def make_cfg(
     burst_nodes=(),
     burst_probability=0.05,
     burst_amplitude_range=(2.0, 5.0),
-    rollout_reward_mode=RolloutReward.SERVED,
     fallback_conflict_aware=False,
     base_seed=42,
 ):
@@ -37,7 +47,6 @@ def make_cfg(
         burst_nodes=frozenset(burst_nodes),
         burst_probability=burst_probability,
         burst_amplitude_range=tuple(burst_amplitude_range),
-        rollout_reward_mode=rollout_reward_mode,
         fallback_conflict_aware=fallback_conflict_aware,
         base_seed=base_seed,
     )

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from dualmind.baselines import QTable, q_select, q_update
-from dualmind.core import BUILTIN_SCENARIOS, ConflictGraph, Provenance, RolloutReward
+from dualmind.core import BUILTIN_SCENARIOS, ConflictGraph, Provenance
 from dualmind.cli import main
 from dualmind.harness import POLICY_NAMES, aggregate, run_experiment
 from dualmind.icn import enumerate_feasible
 from dualmind.dmwm import rollout, slow_mind_select
 from dualmind.traffic import make_rng, sample_poisson
-from helpers import make_cfg
+from helpers import GOLDEN_SHA256, make_cfg, sha256_of
 
 
 def _report(criterion, detail):
@@ -112,17 +112,19 @@ def test_c02_slow_mind_argmax_oracle():
         horizon = 1 + trial % 4
         feasible = enumerate_feasible(5, 3, q, ages, deadlines, graph)
         assert feasible == _brute_feasible(5, 3, q, ages, deadlines, raw_pairs)
-        for mode in (RolloutReward.LITERAL, RolloutReward.SERVED):
-            best = slow_mind_select(feasible, q, horizon, mode)
-            literal = mode is RolloutReward.LITERAL
-            if not feasible:
-                assert best is None
-                continue
+        best = slow_mind_select(feasible, q, horizon)
+        if not feasible:
+            assert best is None
+            continue
+        schedule, score = best
+        # both rules differ by a constant over feasible sets, so they share the first argmax
+        for literal in (True, False):
             oracle = [_drain_reward(q, s, horizon, literal) for s in feasible]
             top = max(oracle)
-            first = feasible[oracle.index(top)]
-            assert best.reward == top
-            assert best.schedule == first
+            assert schedule == feasible[oracle.index(top)]
+            if not literal:
+                assert score == top
+                assert [rollout(q, s, horizon).reward for s in feasible] == oracle
             checked += 1
     elapsed = time.perf_counter() - start
     assert checked >= 800  # most of the 500 states must actually exercise the argmax
@@ -131,13 +133,11 @@ def test_c02_slow_mind_argmax_oracle():
 
 
 def test_c03_rollout_hand_check():
-    literal = rollout((3, 1), (0,), 3, RolloutReward.LITERAL)
-    assert literal.reward == 6
-    assert literal.trajectory == ((3, 1), (2, 1), (1, 1), (0, 1))
-    served = rollout((3, 1), (0,), 3, RolloutReward.SERVED)
+    served = rollout((3, 1), (0,), 3)
     assert served.reward == 3
     assert served.trajectory == ((3, 1), (2, 1), (1, 1), (0, 1))
-    _report("C3", "hand-stepped trajectory and both reward modes match")
+    assert slow_mind_select([(0,)], (3, 1), 3) == ((0,), 3)
+    _report("C3", "hand-stepped trajectory, its reward and the closed form match")
 
 
 def test_c04_conservation_over_full_campaign(campaign):
@@ -172,12 +172,11 @@ def test_c05_interference_safety(campaign):
 
 
 def test_c06_campaign_determinism(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["campaign", "--seed", "42", "--out", str(out_a)]) == 0
-    assert main(["campaign", "--seed", "42", "--out", str(out_b)]) == 0
-    for name in ("summary.csv", "summary.json", "runs.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-    _report("C6", "two seed-42 campaigns produced byte-identical summaries")
+    assert main(["campaign", "--seed", "42", "--out", str(tmp_path)]) == 0
+    golden = GOLDEN_SHA256["campaign --seed 42"]
+    for name, digest in golden.items():
+        assert sha256_of(tmp_path / name) == digest, name
+    _report("C6", "the seed-42 campaign's runs.csv and summaries match the golden hashes")
 
 
 def test_c07_poisson_sampler_moments():

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from dualmind.cli import main
-from dualmind.core import builtin_scenario, scenario_to_dict
+from dualmind.core import BUILTIN_SCENARIOS, builtin_scenario, scenario_to_dict
+from helpers import GOLDEN_SHA256, sha256_of
 
 
 def test_scenario_show_round_trips(capsys):
@@ -75,6 +76,18 @@ def test_run_rejects_bad_scenario_file(tmp_path, capsys):
     assert "missing field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_campaign_rejects_bad_step_override(tmp_path, capsys, steps):
+    assert main(["campaign", "--runs", "1", "--steps", steps, "--out", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err == "error: T: need at least one slot\n"
+
+
+def test_run_rejects_removed_rollout_reward_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--rollout-reward", "served"])
+    assert exc.value.code == 2
+
+
 def test_campaign_produces_full_grid(tmp_path):
     out = tmp_path / "c"
     assert main(["campaign", "--runs", "2", "--steps", "30", "--out", str(out)]) == 0
@@ -96,6 +109,13 @@ def test_trace_exports_matrices(tmp_path):
     decisions = (out / "decisions.csv").read_text().strip().splitlines()[1:]
     provenances = {line.split(",")[1] for line in decisions}
     assert provenances <= {"slow_mind", "fast_mind"}
+
+
+@pytest.mark.parametrize("scenario", BUILTIN_SCENARIOS)
+def test_trace_decisions_match_golden(tmp_path, scenario):
+    assert main(["trace", "--scenario", scenario, "--seed", "42", "--out", str(tmp_path)]) == 0
+    golden = GOLDEN_SHA256["trace --seed 42 decisions.csv"][scenario]
+    assert sha256_of(tmp_path / "decisions.csv") == golden
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ from dualmind.core import (
     BUILTIN_SCENARIOS,
     ConflictGraph,
     InvalidConfig,
-    RolloutReward,
     UnknownScenario,
     builtin_scenario,
     scenario_from_dict,
@@ -122,17 +121,29 @@ def test_validate_symmetrizes_pair_order():
 
 
 def test_json_round_trip_all_builtins():
-    for name in BUILTIN_SCENARIOS:
-        cfg = builtin_scenario(name)
+    configs = [builtin_scenario(name) for name in BUILTIN_SCENARIOS]
+    configs.append(replace(configs[0], fallback_conflict_aware=True))
+    for cfg in configs:
         doc = scenario_to_dict(cfg)
         assert scenario_from_dict(doc) == cfg
 
 
-def test_json_mode_string_round_trip():
-    cfg = replace(builtin_scenario("default"), rollout_reward_mode=RolloutReward.LITERAL)
-    doc = scenario_to_dict(cfg)
-    assert doc["rollout_reward_mode"] == "literal"
-    assert scenario_from_dict(doc).rollout_reward_mode is RolloutReward.LITERAL
+def test_json_removed_rollout_reward_mode_rejected():
+    doc = scenario_to_dict(builtin_scenario("default"))
+    doc["rollout_reward_mode"] = "served"
+    with pytest.raises(InvalidConfig) as exc:
+        scenario_from_dict(doc)
+    assert exc.value.field == "rollout_reward_mode"
+    assert exc.value.reason == "unknown field"
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_json_fallback_conflict_aware_needs_a_boolean(value):
+    doc = scenario_to_dict(builtin_scenario("default"))
+    doc["fallback_conflict_aware"] = value
+    with pytest.raises(InvalidConfig) as exc:
+        scenario_from_dict(doc)
+    assert exc.value.field == "fallback_conflict_aware"
 
 
 def test_json_unknown_field_rejected():

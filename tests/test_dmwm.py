@@ -1,9 +1,9 @@
-"""Dual-mind scheduler: rollouts, argmax selection, fallback, decision records."""
+"""Dual-mind scheduler: rollouts, closed-form argmax selection, fallback, decision records."""
 
 import numpy as np
 import pytest
 
-from dualmind.core import ConflictGraph, Provenance, RolloutReward, builtin_scenario
+from dualmind.core import ConflictGraph, Provenance, builtin_scenario
 from dualmind.dmwm import (
     DmwmScheduler,
     dmwm_decide,
@@ -16,27 +16,14 @@ from dualmind.twin import Observation
 from helpers import make_cfg
 
 
-def test_rollout_literal_hand_check():
-    result = rollout((3, 1), (0,), 3, RolloutReward.LITERAL)
-    assert result.reward == 6
-    assert result.trajectory == ((3, 1), (2, 1), (1, 1), (0, 1))
-
-
-def test_rollout_literal_other_schedule():
-    result = rollout((3, 1), (1,), 3, RolloutReward.LITERAL)
-    assert result.reward == 4
-    assert result.trajectory == ((3, 1), (3, 0), (3, 0), (3, 0))
-
-
 def test_rollout_served_hand_check():
-    result = rollout((3, 1), (0,), 3, RolloutReward.SERVED)
+    result = rollout((3, 1), (0,), 3)
     assert result.reward == 3
     assert result.trajectory == ((3, 1), (2, 1), (1, 1), (0, 1))
 
 
 def test_rollout_all_empty():
-    for mode in RolloutReward:
-        assert rollout((0, 0), (0, 1), 4, mode).reward == 0
+    assert rollout((0, 0), (0, 1), 4).reward == 0
 
 
 def test_rollout_monotone_and_bounded():
@@ -45,19 +32,15 @@ def test_rollout_monotone_and_bounded():
         q = tuple(int(rng.integers(0, 9)) for _ in range(5))
         members = tuple(sorted(rng.choice(5, size=3, replace=False).tolist()))
         horizon = int(rng.integers(1, 5))
-        for mode in RolloutReward:
-            result = rollout(q, members, horizon, mode)
-            assert result.trajectory[0] == q
-            for before, after in zip(result.trajectory, result.trajectory[1:]):
-                for i in range(5):
-                    if i in members:
-                        assert after[i] == max(before[i] - 1, 0)
-                    else:
-                        assert after[i] == before[i]
-            if mode is RolloutReward.LITERAL:
-                assert 0 <= result.reward <= horizon * 5
-            else:
-                assert 0 <= result.reward <= horizon * len(members)
+        result = rollout(q, members, horizon)
+        assert result.trajectory[0] == q
+        for before, after in zip(result.trajectory, result.trajectory[1:]):
+            for i in range(5):
+                if i in members:
+                    assert after[i] == max(before[i] - 1, 0)
+                else:
+                    assert after[i] == before[i]
+        assert 0 <= result.reward <= horizon * len(members)
 
 
 def test_served_with_unit_horizon_equals_slot_reward():
@@ -66,23 +49,20 @@ def test_served_with_unit_horizon_equals_slot_reward():
         q = tuple(int(rng.integers(0, 4)) for _ in range(5))
         members = tuple(sorted(rng.choice(5, size=3, replace=False).tolist()))
         instantaneous = sum(1 for i in members if q[i] > 0)
-        assert rollout(q, members, 1, RolloutReward.SERVED).reward == instantaneous
+        assert rollout(q, members, 1).reward == instantaneous
 
 
 def test_slow_mind_empty_feasible_gives_none():
-    assert slow_mind_select([], (3, 1), 3, RolloutReward.LITERAL) is None
+    assert slow_mind_select([], (3, 1), 3) is None
 
 
 def test_slow_mind_prefers_higher_reward():
-    best = slow_mind_select([(0,), (1,)], (3, 1), 3, RolloutReward.LITERAL)
-    assert best.schedule == (0,)
-    assert best.reward == 6
+    assert slow_mind_select([(0,), (1,)], (3, 1), 3) == ((0,), 3)
 
 
 def test_slow_mind_tie_keeps_enumeration_order():
-    # both singletons score 2 under the literal rule with a 1-step horizon
-    best = slow_mind_select([(0,), (1,)], (2, 2), 1, RolloutReward.LITERAL)
-    assert best.schedule == (0,)
+    # both singletons send one packet over a 1-step horizon
+    assert slow_mind_select([(0,), (1,)], (2, 2), 1) == ((0,), 1)
 
 
 def test_fast_mind_urgency_doubling():
@@ -175,15 +155,8 @@ def test_rollout_reward_recomputable_from_trajectory():
         q = tuple(int(rng.integers(0, 7)) for _ in range(5))
         members = tuple(sorted(rng.choice(5, size=2, replace=False).tolist()))
         horizon = int(rng.integers(1, 5))
-        for mode in RolloutReward:
-            result = rollout(q, members, horizon, mode)
-            if mode is RolloutReward.LITERAL:
-                recomputed = sum(
-                    sum(1 for v in stage if v > 0) for stage in result.trajectory[:-1]
-                )
-            else:
-                recomputed = sum(
-                    sum(1 for i in members if stage[i] > 0)
-                    for stage in result.trajectory[:-1]
-                )
-            assert result.reward == recomputed
+        result = rollout(q, members, horizon)
+        recomputed = sum(
+            sum(1 for i in members if stage[i] > 0) for stage in result.trajectory[:-1]
+        )
+        assert result.reward == recomputed
