@@ -4,6 +4,11 @@ A deterministic digital twin of a small slotted network, a dual-mind
 scheduler (short-horizon rollout planning over a feasibility-filtered
 candidate set, with a reactive urgency fallback), five baseline policies,
 and a campaign harness that aggregates metrics over seeded runs.
+
+Every policy's decide(observation, rng) returns the slot's schedule as a
+sorted tuple of node ids; the dual-mind scheduler also logs a
+DecisionRecord per slot saying which mind chose it. The twin keeps each
+node's queue as a deque of packet arrival slots.
 """
 
 from .baselines import (
@@ -19,11 +24,8 @@ from .core import (
     BUILTIN_SCENARIOS,
     ConflictGraph,
     InvalidConfig,
-    NodeState,
-    Packet,
     Provenance,
     ScenarioConfig,
-    ScheduleAction,
     UnknownScenario,
     builtin_scenario,
     scenario_from_dict,

@@ -1,9 +1,11 @@
 """The five comparison policies behind the common decide(observation, rng) interface.
 
-A policy instance is owned by one run and constructed fresh for the next,
-so the learning baseline starts every run with an empty table. Policies
-that learn from outcomes implement update(action, outcome, next_obs); the
-rest leave it out and the harness skips the call.
+decide returns the slot's schedule as a sorted tuple of distinct node ids,
+at most max_scheduled of them. A policy instance is owned by one run and
+constructed fresh for the next, so the learning baseline starts every run
+with an empty table. Policies that learn from outcomes implement
+update(schedule, outcome, next_obs); the rest leave it out and the harness
+skips the call.
 """
 
 from __future__ import annotations
@@ -14,15 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Provenance, ScenarioConfig, ScheduleAction
+from .core import ScenarioConfig
 
 Q_ALPHA = 0.1
 Q_GAMMA = 0.95
 Q_EPSILON = 0.2
-
-
-def _reactive(nodes: Sequence[int]) -> ScheduleAction:
-    return ScheduleAction(nodes=frozenset(nodes), provenance=Provenance.FAST_MIND)
 
 
 def random_select(n_nodes: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -149,8 +147,8 @@ class RandomPolicy:
         self._n = cfg.n_nodes
         self._k = cfg.max_scheduled
 
-    def decide(self, obs, rng: np.random.Generator) -> ScheduleAction:
-        return _reactive(random_select(self._n, self._k, rng))
+    def decide(self, obs, rng: np.random.Generator) -> tuple[int, ...]:
+        return random_select(self._n, self._k, rng)
 
 
 class LqfPolicy:
@@ -159,8 +157,8 @@ class LqfPolicy:
     def __init__(self, cfg: ScenarioConfig):
         self._k = cfg.max_scheduled
 
-    def decide(self, obs, rng) -> ScheduleAction:
-        return _reactive(lqf_select(obs.q, self._k))
+    def decide(self, obs, rng) -> tuple[int, ...]:
+        return lqf_select(obs.q, self._k)
 
 
 class DeadlinePriorityPolicy:
@@ -170,10 +168,8 @@ class DeadlinePriorityPolicy:
         self._k = cfg.max_scheduled
         self._deadlines = cfg.deadlines
 
-    def decide(self, obs, rng) -> ScheduleAction:
-        return _reactive(
-            deadline_priority_select(obs.q, obs.oldest_age, self._deadlines, self._k)
-        )
+    def decide(self, obs, rng) -> tuple[int, ...]:
+        return deadline_priority_select(obs.q, obs.oldest_age, self._deadlines, self._k)
 
 
 class FairRoundRobinPolicy:
@@ -183,8 +179,8 @@ class FairRoundRobinPolicy:
         self._k = cfg.max_scheduled
         self.memory = RoundRobinMemory(last_served=[-1] * cfg.n_nodes)
 
-    def decide(self, obs, rng) -> ScheduleAction:
-        return _reactive(fair_rr_select(obs.q, self.memory, self._k, obs.t))
+    def decide(self, obs, rng) -> tuple[int, ...]:
+        return fair_rr_select(obs.q, self.memory, self._k, obs.t)
 
 
 class QLearningPolicy:
@@ -197,12 +193,12 @@ class QLearningPolicy:
         self.table = QTable(n_actions=len(self._subsets))
         self._pending: tuple[tuple[int, ...], int] | None = None
 
-    def decide(self, obs, rng: np.random.Generator) -> ScheduleAction:
+    def decide(self, obs, rng: np.random.Generator) -> tuple[int, ...]:
         key = q_state_key(obs.q)
         idx = q_select(self.table, key, rng)
         self._pending = (key, idx)
-        return _reactive(self._subsets[idx])
+        return self._subsets[idx]
 
-    def update(self, action, outcome, next_obs) -> None:
+    def update(self, schedule, outcome, next_obs) -> None:
         key, idx = self._pending
         q_update(self.table, key, idx, outcome.reward, q_state_key(next_obs.q))

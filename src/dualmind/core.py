@@ -8,8 +8,8 @@ interference.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
 
@@ -45,28 +45,6 @@ class Provenance(Enum):
 
 
 @dataclass(frozen=True)
-class Packet:
-    """A queued unit; its arrival slot is all that matters for age and delay."""
-
-    arrival_slot: int
-
-
-@dataclass
-class NodeState:
-    """Per-node FIFO queue plus the node's traffic and deadline parameters.
-
-    The queue is bounded by the scenario buffer size and stays ordered by
-    arrival slot. A deadline of None means packets never expire.
-    """
-
-    node_id: int
-    lambda_base: float
-    deadline: int | None
-    is_burst_node: bool = False
-    queue: deque[Packet] = field(default_factory=deque)
-
-
-@dataclass(frozen=True)
 class ConflictGraph:
     """Unordered interference pairs; two paired nodes may not transmit together."""
 
@@ -85,14 +63,6 @@ class ConflictGraph:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class ScheduleAction:
-    """Up to max_scheduled nodes chosen for one slot, tagged with its origin."""
-
-    nodes: frozenset[int]
-    provenance: Provenance
 
 
 @dataclass(frozen=True)
@@ -137,8 +107,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise InvalidConfig("H", "horizon must be positive")
     if len(cfg.lambda_base) != cfg.n_nodes:
         raise InvalidConfig("lambda_base", "need one rate per node")
-    if any(rate <= 0.0 for rate in cfg.lambda_base):
-        raise InvalidConfig("lambda_base", "rates must be positive")
+    if not all(0.0 < rate < math.inf for rate in cfg.lambda_base):
+        raise InvalidConfig("lambda_base", "rates must be positive and finite")
     if len(cfg.deadlines) != cfg.n_nodes:
         raise InvalidConfig("deadlines", "need one entry per node")
     if any(d is not None and d < 1 for d in cfg.deadlines):
@@ -155,6 +125,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     if len(cfg.burst_amplitude_range) != 2:
         raise InvalidConfig("burst_amplitude_range", "need exactly [low, high]")
     lo, hi = cfg.burst_amplitude_range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidConfig("burst_amplitude_range", "bounds must be finite")
     if lo < 0.0 or hi < lo:
         raise InvalidConfig("burst_amplitude_range", "need 0 <= low <= high")
     if not 0 <= cfg.base_seed < 2**64:
@@ -250,8 +222,38 @@ _OPTIONAL_FIELDS = (
 )
 
 
+def _json_number(field_name: str, value, kind: type):
+    """value as kind (int or float); JSON booleans and strings are refused, and
+    so are non-integers in int fields."""
+    accepted = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        need = "an integer" if kind is int else "a number"
+        raise InvalidConfig(field_name, f"need {need}, got {value!r}")
+    return kind(value)
+
+
+def _json_list(field_name: str, value) -> list:
+    if not isinstance(value, list):
+        raise InvalidConfig(field_name, f"need a list, got {value!r}")
+    return value
+
+
+def _json_numbers(field_name: str, value, kind: type) -> tuple:
+    return tuple(_json_number(field_name, v, kind) for v in _json_list(field_name, value))
+
+
+def _json_pair(value) -> tuple:
+    pair = _json_numbers("conflict_graph", value, int)
+    if len(pair) != 2:
+        raise InvalidConfig("conflict_graph", f"need [i, j] pairs, got {value!r}")
+    return pair
+
+
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    """Parse and validate a scenario document produced by scenario_to_dict."""
+    """Parse and validate a scenario document produced by scenario_to_dict.
+
+    Every value must already have its field's JSON type; none is coerced.
+    """
     known = set(_REQUIRED_FIELDS) | set(_OPTIONAL_FIELDS)
     for key in doc:
         if key not in known:
@@ -263,26 +265,29 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         n_nodes=1, max_scheduled=1, buffer=1, steps=1, horizon=1,
         lambda_base=(1.0,), deadlines=(None,),
     )
-    conflict_aware = doc.get("fallback_conflict_aware", defaults.fallback_conflict_aware)
-    if not isinstance(conflict_aware, bool):
+    fields = {**scenario_to_dict(defaults), **doc}
+    if not isinstance(fields["fallback_conflict_aware"], bool):
         raise InvalidConfig("fallback_conflict_aware", "must be true or false")
     cfg = ScenarioConfig(
-        n_nodes=int(doc["n_nodes"]),
-        max_scheduled=int(doc["max_scheduled"]),
-        buffer=int(doc["buffer"]),
-        steps=int(doc["steps"]),
-        horizon=int(doc["horizon"]),
-        lambda_base=tuple(float(x) for x in doc["lambda_base"]),
-        deadlines=tuple(None if d is None else int(d) for d in doc["deadlines"]),
+        n_nodes=_json_number("n_nodes", fields["n_nodes"], int),
+        max_scheduled=_json_number("max_scheduled", fields["max_scheduled"], int),
+        buffer=_json_number("buffer", fields["buffer"], int),
+        steps=_json_number("steps", fields["steps"], int),
+        horizon=_json_number("horizon", fields["horizon"], int),
+        lambda_base=_json_numbers("lambda_base", fields["lambda_base"], float),
+        deadlines=tuple(
+            None if d is None else _json_number("deadlines", d, int)
+            for d in _json_list("deadlines", fields["deadlines"])
+        ),
         conflict_graph=ConflictGraph.from_pairs(
-            (int(i), int(j)) for i, j in doc.get("conflict_graph", [])
+            _json_pair(pair) for pair in _json_list("conflict_graph", fields["conflict_graph"])
         ),
-        burst_nodes=frozenset(int(i) for i in doc.get("burst_nodes", [])),
-        burst_probability=float(doc.get("burst_probability", defaults.burst_probability)),
-        burst_amplitude_range=tuple(
-            float(x) for x in doc.get("burst_amplitude_range", defaults.burst_amplitude_range)
+        burst_nodes=frozenset(_json_numbers("burst_nodes", fields["burst_nodes"], int)),
+        burst_probability=_json_number("burst_probability", fields["burst_probability"], float),
+        burst_amplitude_range=_json_numbers(
+            "burst_amplitude_range", fields["burst_amplitude_range"], float
         ),
-        fallback_conflict_aware=conflict_aware,
-        base_seed=int(doc.get("base_seed", defaults.base_seed)),
+        fallback_conflict_aware=fields["fallback_conflict_aware"],
+        base_seed=_json_number("base_seed", fields["base_seed"], int),
     )
     return validate_config(cfg)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ConflictGraph, Provenance, ScenarioConfig, ScheduleAction
+from .core import ConflictGraph, Provenance, ScenarioConfig
 from .icn import enumerate_feasible
 from .twin import Observation, imagined_next
 
@@ -101,35 +101,34 @@ class DecisionRecord:
     best_reward: int | None
 
 
-def dmwm_decide(obs: Observation, cfg: ScenarioConfig) -> tuple[ScheduleAction, DecisionRecord]:
-    """One slot's decision: slow mind whenever any feasible schedule exists, else fast mind."""
+def dmwm_decide(obs: Observation, cfg: ScenarioConfig) -> DecisionRecord:
+    """One slot's decision: slow mind whenever any feasible schedule exists, else fast mind.
+
+    The record's nodes are the schedule to apply, as a sorted tuple.
+    """
     feasible = enumerate_feasible(
         cfg.n_nodes, cfg.max_scheduled, obs.q, obs.oldest_age, cfg.deadlines, cfg.conflict_graph
     )
     if feasible:
         schedule, score = slow_mind_select(feasible, obs.q, cfg.horizon)
-        action = ScheduleAction(nodes=frozenset(schedule), provenance=Provenance.SLOW_MIND)
-        record = DecisionRecord(
+        return DecisionRecord(
             slot=obs.t,
             provenance=Provenance.SLOW_MIND,
             nodes=schedule,
             feasible_count=len(feasible),
             best_reward=score,
         )
-    else:
-        picked = fast_mind_select(
-            obs.q, cfg.deadlines, cfg.max_scheduled, cfg.conflict_graph,
-            conflict_aware=cfg.fallback_conflict_aware,
-        )
-        action = ScheduleAction(nodes=frozenset(picked), provenance=Provenance.FAST_MIND)
-        record = DecisionRecord(
-            slot=obs.t,
-            provenance=Provenance.FAST_MIND,
-            nodes=picked,
-            feasible_count=0,
-            best_reward=None,
-        )
-    return action, record
+    picked = fast_mind_select(
+        obs.q, cfg.deadlines, cfg.max_scheduled, cfg.conflict_graph,
+        conflict_aware=cfg.fallback_conflict_aware,
+    )
+    return DecisionRecord(
+        slot=obs.t,
+        provenance=Provenance.FAST_MIND,
+        nodes=picked,
+        feasible_count=0,
+        best_reward=None,
+    )
 
 
 class DmwmScheduler:
@@ -141,7 +140,7 @@ class DmwmScheduler:
         self.cfg = cfg
         self.trace: list[DecisionRecord] = []
 
-    def decide(self, obs: Observation, rng) -> ScheduleAction:
-        action, record = dmwm_decide(obs, self.cfg)
+    def decide(self, obs: Observation, rng) -> tuple[int, ...]:
+        record = dmwm_decide(obs, self.cfg)
         self.trace.append(record)
-        return action
+        return record.nodes

@@ -100,22 +100,22 @@ def run_episode(
     update = getattr(policy, "update", None)
     obs = observe(state)
     for _ in range(cfg.steps):
-        action = policy.decide(obs, rng)
-        imagined = imagined_next(obs.q, action.nodes)
-        outcome = step(state, action, streams)
+        schedule = policy.decide(obs, rng)
+        imagined = imagined_next(obs.q, schedule)
+        outcome = step(state, schedule, streams)
         obs = observe(state)
         record_model_error(state, imagined, obs.q)
         if update is not None:
-            update(action, outcome, obs)
+            update(schedule, outcome, obs)
     trace = getattr(policy, "trace", None)
     return RunRecord(
         scenario=scenario,
         policy=getattr(policy, "name", type(policy).__name__),
         run_index=run_index,
         metrics=metrics(state),
-        arrivals=state.arrivals_total,
+        arrivals=int(state.arrivals_by_node.sum()),
         delivered=state.delivered,
-        final_backlog=sum(len(node.queue) for node in state.nodes),
+        final_backlog=sum(len(queue) for queue in state.queues),
         arrivals_by_node=state.arrivals_by_node,
         drops_by_node=state.drops_by_node,
         queue_lengths=state.queue_length_timeseries,

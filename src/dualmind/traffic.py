@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import NodeState, ScenarioConfig
+from .core import ScenarioConfig
 
 ARRIVAL_STREAM = 0
 BURST_STREAM = 1
@@ -56,20 +55,19 @@ def policy_stream(base_seed: int, run_index: int, salt: int = 0) -> np.random.Ge
     return make_rng(base_seed, run_index, POLICY_STREAM, salt)
 
 
-def arrival_rate(
-    node: NodeState, t: int, cfg: ScenarioConfig, burst_rng: np.random.Generator
-) -> float:
-    """Instantaneous arrival rate: sinusoidally modulated base plus an occasional spike.
+def arrival_rate(cfg: ScenarioConfig, i: int, t: int, burst_rng: np.random.Generator) -> float:
+    """Node i's instantaneous arrival rate: modulated base plus an occasional spike.
 
-    Burst nodes draw one gate uniform per slot and, when the gate fires
+    The base is cfg.lambda_base[i] under a sinusoidal modulation. Nodes in
+    cfg.burst_nodes draw one gate uniform per slot and, when the gate fires
     (probability cfg.burst_probability), an amplitude uniform from
     cfg.burst_amplitude_range. Non-burst nodes consume no randomness.
     The result is clamped to be non-negative.
     """
-    rate = node.lambda_base * (
+    rate = cfg.lambda_base[i] * (
         1.0 + MODULATION_DEPTH * math.sin(2.0 * math.pi * t / MODULATION_PERIOD)
     )
-    if node.is_burst_node and cfg.burst_probability > 0.0:
+    if i in cfg.burst_nodes and cfg.burst_probability > 0.0:
         if burst_rng.random() < cfg.burst_probability:
             lo, hi = cfg.burst_amplitude_range
             rate += float(burst_rng.uniform(lo, hi))
@@ -93,11 +91,9 @@ def sample_poisson(rng: np.random.Generator, rate: float) -> int:
     return count
 
 
-def generate_arrivals(
-    cfg: ScenarioConfig, nodes: Sequence[NodeState], t: int, streams: TrafficStreams
-) -> tuple[int, ...]:
+def generate_arrivals(cfg: ScenarioConfig, t: int, streams: TrafficStreams) -> tuple[int, ...]:
     """Per-node arrival counts for slot t, drawn in node-id order."""
     return tuple(
-        sample_poisson(streams.arrivals, arrival_rate(node, t, cfg, streams.bursts))
-        for node in nodes
+        sample_poisson(streams.arrivals, arrival_rate(cfg, i, t, streams.bursts))
+        for i in range(cfg.n_nodes)
     )

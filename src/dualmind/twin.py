@@ -8,12 +8,14 @@ packet can never be served in the slot it arrives.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import NodeState, Packet, ScenarioConfig, ScheduleAction
+from .core import ScenarioConfig
 from .traffic import TrafficStreams, generate_arrivals
 
 
@@ -53,16 +55,19 @@ class RunMetrics:
 
 @dataclass
 class TwinState:
-    """All mutable state of one run: queues, counters, diagnostic matrices."""
+    """All mutable state of one run: queues, counters, diagnostic matrices.
+
+    queues[i] holds one arrival slot per packet waiting at node i, oldest
+    first. Static per-node facts (rate, deadline, burst membership) stay in
+    cfg, and run totals of arrivals and drops are sums of the per-node arrays.
+    """
 
     cfg: ScenarioConfig
-    nodes: list[NodeState]
+    queues: list[deque[int]]
     t: int
     delivered: int
     total_delay: int
     deadline_violations: int
-    drops: int
-    arrivals_total: int
     arrivals_by_node: np.ndarray
     drops_by_node: np.ndarray
     queue_length_timeseries: np.ndarray  # steps x nodes, recorded after arrivals
@@ -72,25 +77,14 @@ class TwinState:
 
 def reset(cfg: ScenarioConfig) -> TwinState:
     """Fresh run state: empty queues, zeroed counters, steps-by-nodes matrices."""
-    nodes = [
-        NodeState(
-            node_id=i,
-            lambda_base=cfg.lambda_base[i],
-            deadline=cfg.deadlines[i],
-            is_burst_node=i in cfg.burst_nodes,
-        )
-        for i in range(cfg.n_nodes)
-    ]
     shape = (cfg.steps, cfg.n_nodes)
     return TwinState(
         cfg=cfg,
-        nodes=nodes,
+        queues=[deque() for _ in range(cfg.n_nodes)],
         t=0,
         delivered=0,
         total_delay=0,
         deadline_violations=0,
-        drops=0,
-        arrivals_total=0,
         arrivals_by_node=np.zeros(cfg.n_nodes, dtype=np.int64),
         drops_by_node=np.zeros(cfg.n_nodes, dtype=np.int64),
         queue_length_timeseries=np.zeros(shape, dtype=np.int64),
@@ -101,36 +95,36 @@ def reset(cfg: ScenarioConfig) -> TwinState:
 
 def observe(state: TwinState) -> Observation:
     """Queue lengths and head ages as the scheduler sees them at the current slot."""
-    q = tuple(len(node.queue) for node in state.nodes)
-    ages = tuple(
-        state.t - node.queue[0].arrival_slot if node.queue else None for node in state.nodes
-    )
+    q = tuple(len(queue) for queue in state.queues)
+    ages = tuple(state.t - queue[0] if queue else None for queue in state.queues)
     return Observation(q=q, oldest_age=ages, t=state.t)
 
 
-def step(state: TwinState, action: ScheduleAction, streams: TrafficStreams) -> StepOutcome:
+def step(state: TwinState, schedule: Sequence[int], streams: TrafficStreams) -> StepOutcome:
     """Advance one slot: purge expired packets, serve the schedule, inject arrivals, record.
 
-    Service is one packet per scheduled node; a scheduled node with an empty
-    queue wastes its slot and contributes no reward.
+    schedule holds distinct node ids. Service is one packet per scheduled
+    node; a scheduled node with an empty queue wastes its slot and
+    contributes no reward.
     """
     cfg = state.cfg
     t = state.t
     if t >= cfg.steps:
         raise SimulationEnded(f"run is complete after {cfg.steps} slots")
-    if len(action.nodes) > cfg.max_scheduled:
+    if len(schedule) > cfg.max_scheduled:
         raise ValueError("schedule exceeds the per-slot transmission budget")
-    if any(i < 0 or i >= cfg.n_nodes for i in action.nodes):
+    if any(i < 0 or i >= cfg.n_nodes for i in schedule):
         raise ValueError("schedule names an unknown node")
+    if len(set(schedule)) != len(schedule):
+        raise ValueError("schedule names a node twice")
+    queues = state.queues
 
     # 1) deadline purge: expired packets leave the queue and count as violations
     new_violations = 0
-    for node in state.nodes:
-        limit = node.deadline
+    for queue, limit in zip(queues, cfg.deadlines):
         if limit is None:
             continue
-        queue = node.queue
-        while queue and t - queue[0].arrival_slot > limit:
+        while queue and t - queue[0] > limit:
             queue.popleft()
             new_violations += 1
     state.deadline_violations += new_violations
@@ -138,35 +132,30 @@ def step(state: TwinState, action: ScheduleAction, streams: TrafficStreams) -> S
     # 2) service: each scheduled node with a backlog sends its head packet
     served: list[int] = []
     delays: list[int] = []
-    for i in sorted(action.nodes):
-        queue = state.nodes[i].queue
+    for i in sorted(schedule):
+        queue = queues[i]
         if queue:
-            pkt = queue.popleft()
             served.append(i)
-            delays.append(t - pkt.arrival_slot)
+            delays.append(t - queue.popleft())
     state.delivered += len(served)
     state.total_delay += sum(delays)
     reward = len(served)
 
     # 3) arrivals: enqueue up to the buffer bound, count overflow as drops
-    counts = generate_arrivals(cfg, state.nodes, t, streams)
+    counts = generate_arrivals(cfg, t, streams)
     new_drops = 0
-    pkt = Packet(arrival_slot=t)
     for i, count in enumerate(counts):
-        state.arrivals_total += count
         state.arrivals_by_node[i] += count
-        queue = state.nodes[i].queue
+        queue = queues[i]
         admitted = min(count, cfg.buffer - len(queue))
-        for _ in range(admitted):
-            queue.append(pkt)
+        queue.extend(repeat(t, admitted))
         overflow = count - admitted
         new_drops += overflow
         state.drops_by_node[i] += overflow
-    state.drops += new_drops
 
     # 4) accounting, then advance the clock
-    state.queue_length_timeseries[t] = [len(node.queue) for node in state.nodes]
-    for i in action.nodes:
+    state.queue_length_timeseries[t] = [len(queue) for queue in queues]
+    for i in schedule:
         state.schedule_matrix[t, i] = True
     state.t = t + 1
 
@@ -210,13 +199,13 @@ def metrics(state: TwinState) -> RunMetrics:
         avg_queue=float(state.queue_length_timeseries.mean()),
         avg_delay=state.total_delay / delivered if delivered else 0.0,
         violations=state.deadline_violations,
-        drops=state.drops,
+        drops=int(state.drops_by_node.sum()),
     )
 
 
 def conservation_gap(state: TwinState) -> int:
     """Arrivals minus every accounted outcome; zero on a consistent run."""
-    backlog = sum(len(node.queue) for node in state.nodes)
-    return state.arrivals_total - (
-        state.delivered + state.drops + state.deadline_violations + backlog
+    backlog = sum(len(queue) for queue in state.queues)
+    return int(state.arrivals_by_node.sum()) - (
+        state.delivered + int(state.drops_by_node.sum()) + state.deadline_violations + backlog
     )

@@ -186,6 +186,8 @@ def test_every_policy_returns_valid_actions(factory):
     rng = make_rng(100)
     state_rng = np.random.default_rng(6)
     for _ in range(150):
-        action = policy.decide(_random_obs(state_rng), rng)
-        assert len(action.nodes) <= cfg.max_scheduled
-        assert all(0 <= i < cfg.n_nodes for i in action.nodes)
+        schedule = policy.decide(_random_obs(state_rng), rng)
+        assert type(schedule) is tuple
+        assert list(schedule) == sorted(set(schedule))  # sorted, no repeated id
+        assert len(schedule) <= cfg.max_scheduled
+        assert all(0 <= i < cfg.n_nodes for i in schedule)

@@ -76,6 +76,15 @@ def test_run_rejects_bad_scenario_file(tmp_path, capsys):
     assert "missing field" in capsys.readouterr().err
 
 
+def test_run_rejects_nan_burst_amplitudes(tmp_path, capsys):
+    doc = scenario_to_dict(builtin_scenario("bursty"))
+    doc["burst_amplitude_range"] = [float("nan"), float("nan")]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # Python's json writes and reads NaN
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "burst_amplitude_range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_campaign_rejects_bad_step_override(tmp_path, capsys, steps):
     assert main(["campaign", "--runs", "1", "--steps", steps, "--out", str(tmp_path / "c")]) == 2

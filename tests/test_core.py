@@ -1,5 +1,6 @@
 """Config types, validation, builtin scenarios, JSON round-trips."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -57,6 +58,11 @@ def test_out_of_range_conflict_pair_rejected():
         ("burst_probability", 1.5),
         ("burst_amplitude_range", (5.0, 2.0)),
         ("base_seed", -1),
+        ("lambda_base", (math.nan, 0.5, 0.5, 0.5, 0.5)),
+        ("lambda_base", (0.5, 0.5, math.inf, 0.5, 0.5)),
+        ("burst_amplitude_range", (math.nan, math.nan)),
+        ("burst_amplitude_range", (2.0, math.nan)),
+        ("burst_amplitude_range", (2.0, math.inf)),
     ],
 )
 def test_invalid_fields_rejected(field, value):
@@ -144,6 +150,49 @@ def test_json_fallback_conflict_aware_needs_a_boolean(value):
     with pytest.raises(InvalidConfig) as exc:
         scenario_from_dict(doc)
     assert exc.value.field == "fallback_conflict_aware"
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("n_nodes", 5.5),
+        ("n_nodes", 5.0),
+        ("max_scheduled", True),
+        ("buffer", "50"),
+        ("steps", "200"),
+        ("horizon", None),
+        ("base_seed", 42.0),
+        ("deadlines", [10.7, None, 10, None, 10]),
+        ("deadlines", [10, None, True, None, 10]),
+        ("conflict_graph", [[0.9, 1], [2, 3]]),
+        ("conflict_graph", [[0, 1, 2]]),
+        ("conflict_graph", [[0, 1], "23"]),
+        ("burst_nodes", [1.0]),
+        ("burst_nodes", "13"),
+        ("lambda_base", [0.5, "0.6", 0.7, 0.8, 0.9]),
+        ("lambda_base", [0.5, False, 0.7, 0.8, 0.9]),
+        ("lambda_base", 0.5),
+        ("burst_probability", "0.1"),
+        ("burst_amplitude_range", [2, None]),
+    ],
+)
+def test_json_fields_need_their_json_types(key, value):
+    doc = scenario_to_dict(builtin_scenario("default"))
+    doc[key] = value
+    with pytest.raises(InvalidConfig) as exc:
+        scenario_from_dict(doc)
+    assert exc.value.field == key
+
+
+def test_json_integers_accepted_in_float_fields():
+    doc = scenario_to_dict(builtin_scenario("bursty"))
+    doc["lambda_base"] = [1, 1, 1, 1, 1]
+    doc["burst_probability"] = 0
+    doc["burst_amplitude_range"] = [3, 6]
+    cfg = scenario_from_dict(doc)
+    assert cfg.lambda_base == (1.0,) * 5
+    assert cfg.burst_probability == 0.0
+    assert cfg.burst_amplitude_range == (3.0, 6.0)
 
 
 def test_json_unknown_field_rejected():

@@ -94,20 +94,19 @@ def _obs(q, ages=None, t=0):
 
 def test_decide_uses_slow_mind_when_feasible():
     cfg = make_cfg()
-    action, record = dmwm_decide(_obs((2, 2, 2, 2, 2)), cfg)
-    assert action.provenance is Provenance.SLOW_MIND
+    record = dmwm_decide(_obs((2, 2, 2, 2, 2)), cfg)
     assert record.provenance is Provenance.SLOW_MIND
     assert record.feasible_count == 10
-    assert len(action.nodes) == 3
+    assert len(record.nodes) == 3
 
 
 def test_decide_falls_back_when_too_few_backlogged():
     cfg = make_cfg()
-    action, record = dmwm_decide(_obs((3, 0, 0, 0, 1)), cfg)
-    assert action.provenance is Provenance.FAST_MIND
+    record = dmwm_decide(_obs((3, 0, 0, 0, 1)), cfg)
+    assert record.provenance is Provenance.FAST_MIND
     assert record.feasible_count == 0
     assert record.best_reward is None
-    assert len(action.nodes) == 3  # plain fallback always fills the budget
+    assert len(record.nodes) == 3  # plain fallback always fills the budget
 
 
 def test_slow_mind_actions_never_conflict():
@@ -115,9 +114,9 @@ def test_slow_mind_actions_never_conflict():
     cfg = make_cfg(pairs=[(0, 1), (2, 3)])
     for _ in range(200):
         q = tuple(int(rng.integers(0, 6)) for _ in range(5))
-        action, record = dmwm_decide(_obs(q), cfg)
-        if action.provenance is Provenance.SLOW_MIND:
-            members = sorted(action.nodes)
+        record = dmwm_decide(_obs(q), cfg)
+        if record.provenance is Provenance.SLOW_MIND:
+            members = record.nodes
             for a in members:
                 for b in members:
                     if a < b:
@@ -135,9 +134,8 @@ def test_provenance_matches_feasibility():
             cfg.n_nodes, cfg.max_scheduled, obs.q, obs.oldest_age,
             cfg.deadlines, cfg.conflict_graph,
         )
-        action, _ = dmwm_decide(obs, cfg)
         expected = Provenance.SLOW_MIND if feasible else Provenance.FAST_MIND
-        assert action.provenance is expected
+        assert dmwm_decide(obs, cfg).provenance is expected
 
 
 def test_scheduler_trace_grows_per_decision():
@@ -145,7 +143,8 @@ def test_scheduler_trace_grows_per_decision():
     policy = DmwmScheduler(cfg)
     rng = np.random.default_rng(0)
     for t in range(5):
-        policy.decide(_obs((1, 1, 1, 1, 1), t=t), rng)
+        schedule = policy.decide(_obs((1, 1, 1, 1, 1), t=t), rng)
+        assert schedule == policy.trace[-1].nodes
     assert [rec.slot for rec in policy.trace] == [0, 1, 2, 3, 4]
 
 

@@ -1,11 +1,12 @@
 """Traffic generation: rate formula, Poisson sampler, stream determinism, mean matching."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from dualmind.core import NodeState, builtin_scenario
+from dualmind.core import BUILTIN_SCENARIOS, builtin_scenario
 from dualmind.traffic import (
     arrival_rate,
     generate_arrivals,
@@ -13,53 +14,51 @@ from dualmind.traffic import (
     sample_poisson,
     traffic_streams,
 )
-from dualmind.twin import reset
-from helpers import make_cfg
-
-
-def _node(lam, burst=False):
-    return NodeState(node_id=0, lambda_base=lam, deadline=None, is_burst_node=burst)
+from helpers import GOLDEN_SHA256, make_cfg
 
 
 def test_rate_at_zero_phase():
-    cfg = make_cfg()
+    cfg = make_cfg(lam=0.5)
     rng = make_rng(0)
-    assert arrival_rate(_node(0.5), 0, cfg, rng) == pytest.approx(0.5)
-    assert arrival_rate(_node(0.5), 25, cfg, rng) == pytest.approx(0.5)
+    assert arrival_rate(cfg, 0, 0, rng) == pytest.approx(0.5)
+    assert arrival_rate(cfg, 0, 25, rng) == pytest.approx(0.5)
 
 
 def test_rate_mid_cycle_value():
     # evaluate the closed form at t=13 independently of the implementation
     expected = 0.8 * (1.0 + 0.75 * math.sin(2.0 * math.pi * 13 / 50))
     assert expected == pytest.approx(1.398816, abs=1e-6)
-    got = arrival_rate(_node(0.8), 13, make_cfg(), make_rng(0))
+    got = arrival_rate(make_cfg(lam=0.8), 0, 13, make_rng(0))
     assert got == pytest.approx(expected)
 
 
 def test_rate_never_negative_over_full_cycle():
-    cfg = make_cfg()
+    cfg = make_cfg(lam=0.6)
     rng = make_rng(1)
-    node = _node(0.9, burst=True)
-    cfg_burst = make_cfg(burst_probability=1.0, burst_amplitude_range=(0.0, 4.0))
+    cfg_burst = make_cfg(
+        lam=0.9, burst_nodes=(0,), burst_probability=1.0, burst_amplitude_range=(0.0, 4.0)
+    )
     for t in range(100):
-        assert arrival_rate(node, t, cfg_burst, rng) >= 0.0
-        assert arrival_rate(_node(0.6), t, cfg, rng) >= 0.0
+        assert arrival_rate(cfg_burst, 0, t, rng) >= 0.0
+        assert arrival_rate(cfg, 0, t, rng) >= 0.0
 
 
 def test_burst_spike_bounds_when_gate_always_fires():
-    cfg = make_cfg(burst_probability=1.0, burst_amplitude_range=(2.0, 5.0))
+    cfg = make_cfg(
+        lam=0.5, burst_nodes=(0,), burst_probability=1.0, burst_amplitude_range=(2.0, 5.0)
+    )
     rng = make_rng(7)
-    node = _node(0.5, burst=True)
     base = 0.5 * (1.0 + 0.75 * math.sin(0.0))
-    rate = arrival_rate(node, 0, cfg, rng)
+    rate = arrival_rate(cfg, 0, 0, rng)
     assert base + 2.0 <= rate <= base + 5.0
 
 
 def test_non_burst_node_consumes_no_draws():
-    cfg = make_cfg()
+    # node 0 is not a burst node, even though node 1's gate always fires
+    cfg = make_cfg(lam=0.5, burst_nodes=(1,), burst_probability=1.0)
     rng_a = make_rng(11)
     rng_b = make_rng(11)
-    arrival_rate(_node(0.5), 3, cfg, rng_a)
+    arrival_rate(cfg, 0, 3, rng_a)
     # identical next draws prove the call above touched nothing
     assert rng_a.random() == rng_b.random()
 
@@ -83,8 +82,7 @@ def test_poisson_determinism():
 
 def test_arrivals_zero_rates():
     cfg = make_cfg(lam=0.0)
-    state = reset(cfg)
-    counts = generate_arrivals(cfg, state.nodes, 0, traffic_streams(1, 0))
+    counts = generate_arrivals(cfg, 0, traffic_streams(1, 0))
     assert counts == (0,) * 5
 
 
@@ -92,19 +90,32 @@ def test_arrivals_deterministic_across_fresh_streams():
     cfg = builtin_scenario("bursty")
     runs = []
     for _ in range(2):
-        state = reset(cfg)
         streams = traffic_streams(cfg.base_seed, 3)
-        runs.append([generate_arrivals(cfg, state.nodes, t, streams) for t in range(80)])
+        runs.append([generate_arrivals(cfg, t, streams) for t in range(80)])
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_arrivals_match_golden(name):
+    # pins the draw order on both traffic streams: seed 42, run 0, every slot,
+    # one line of space-separated per-node counts per slot
+    cfg = builtin_scenario(name)
+    assert cfg.base_seed == 42
+    streams = traffic_streams(cfg.base_seed, 0)
+    text = "".join(
+        " ".join(str(c) for c in generate_arrivals(cfg, t, streams)) + "\n"
+        for t in range(cfg.steps)
+    )
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert digest == GOLDEN_SHA256["generate_arrivals seed 42 run 0"][name]
 
 
 def _empirical_means(cfg, runs):
     totals = np.zeros(cfg.n_nodes)
     for run_index in range(runs):
-        state = reset(cfg)
         streams = traffic_streams(cfg.base_seed, run_index)
         for t in range(cfg.steps):
-            totals += generate_arrivals(cfg, state.nodes, t, streams)
+            totals += generate_arrivals(cfg, t, streams)
     return totals / (runs * cfg.steps)
 
 

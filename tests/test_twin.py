@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dualmind.core import Packet, Provenance, ScheduleAction, builtin_scenario
+from dualmind.core import builtin_scenario
 from dualmind.twin import (
     SimulationEnded,
     conservation_gap,
@@ -19,10 +19,6 @@ from dualmind.baselines import lqf_select
 from helpers import make_cfg
 
 
-def _act(*nodes):
-    return ScheduleAction(nodes=frozenset(nodes), provenance=Provenance.FAST_MIND)
-
-
 def _quiet_state(**overrides):
     """A run with no arrivals so queue motion is fully hand-controlled."""
     cfg = make_cfg(lam=0.0, **overrides)
@@ -33,10 +29,10 @@ def test_reset_empty_and_sized():
     cfg = builtin_scenario("default")
     state = reset(cfg)
     assert state.t == 0
-    assert all(len(node.queue) == 0 for node in state.nodes)
+    assert all(len(queue) == 0 for queue in state.queues)
     total = (
         state.delivered + state.total_delay + state.deadline_violations
-        + state.drops + state.arrivals_total
+        + state.drops_by_node.sum() + state.arrivals_by_node.sum()
     )
     assert total == 0
     assert state.queue_length_timeseries.shape == (200, 5)
@@ -53,7 +49,7 @@ def test_observe_empty_queue():
 
 def test_observe_head_age():
     state, _ = _quiet_state()
-    state.nodes[2].queue.append(Packet(arrival_slot=3))
+    state.queues[2].append(3)
     state.t = 9
     obs = observe(state)
     assert obs.q[2] == 1
@@ -62,18 +58,18 @@ def test_observe_head_age():
 
 def test_single_dequeue():
     state, streams = _quiet_state()
-    state.nodes[0].queue.append(Packet(arrival_slot=0))
-    outcome = step(state, _act(0), streams)
+    state.queues[0].append(0)
+    outcome = step(state, (0,), streams)
     assert outcome.served == (0,)
     assert outcome.reward == 1
     assert outcome.delivered_delays == (0,)
-    assert len(state.nodes[0].queue) == 0
+    assert len(state.queues[0]) == 0
     assert state.delivered == 1
 
 
 def test_scheduled_empty_node_contributes_nothing():
     state, streams = _quiet_state()
-    outcome = step(state, _act(1), streams)
+    outcome = step(state, (1,), streams)
     assert outcome.served == ()
     assert outcome.reward == 0
     assert state.delivered == 0
@@ -83,10 +79,10 @@ def test_packet_cannot_be_served_in_arrival_slot():
     cfg = make_cfg(lambda_base=(10.0, 0.0, 0.0, 0.0, 0.0))
     state = reset(cfg)
     streams = traffic_streams(cfg.base_seed, 0)
-    outcome = step(state, _act(0), streams)
+    outcome = step(state, (0,), streams)
     assert outcome.served == ()  # queue was empty at service time
-    assert len(state.nodes[0].queue) > 0  # arrivals landed after service
-    second = step(state, _act(0), streams)
+    assert len(state.queues[0]) > 0  # arrivals landed after service
+    second = step(state, (0,), streams)
     assert second.served == (0,)
     assert second.delivered_delays[0] >= 1
 
@@ -96,32 +92,34 @@ def test_overflow_counts_drops():
     state = reset(cfg)
     streams = traffic_streams(cfg.base_seed, 0)
     for _ in range(5):
-        state.nodes[0].queue.append(Packet(arrival_slot=0))
-    step(state, _act(), streams)
-    assert len(state.nodes[0].queue) == 5  # still at capacity
-    assert state.arrivals_total > 0
-    assert state.drops == state.arrivals_total  # queue started full, nothing admitted
+        state.queues[0].append(0)
+    step(state, (), streams)
+    assert len(state.queues[0]) == 5  # still at capacity
+    assert state.arrivals_by_node[0] > 0
+    # queue started full, nothing admitted
+    assert list(state.drops_by_node) == list(state.arrivals_by_node)
+    assert metrics(state).drops == state.arrivals_by_node[0]
 
 
 def test_purge_counts_violations_and_discards():
     state, streams = _quiet_state(deadlines=(2, None, None, None, None))
-    state.nodes[0].queue.append(Packet(arrival_slot=0))
+    state.queues[0].append(0)
     for expected_len in (1, 1, 1, 0):
         # ages 0,1,2 survive a 2-slot deadline; age 3 at t=3 is purged
-        step(state, _act(), streams)
-        assert len(state.nodes[0].queue) == expected_len
+        step(state, (), streams)
+        assert len(state.queues[0]) == expected_len
     assert state.deadline_violations == 1
     assert state.delivered == 0
-    outcome = step(state, _act(0), streams)
+    outcome = step(state, (0,), streams)
     assert outcome.served == ()  # the expired packet is gone for good
 
 
 def test_purge_happens_before_service():
     state, streams = _quiet_state(deadlines=(1, None, None, None, None))
-    state.nodes[0].queue.append(Packet(arrival_slot=0))
-    state.nodes[0].queue.append(Packet(arrival_slot=1))
+    state.queues[0].append(0)
+    state.queues[0].append(1)
     state.t = 2
-    outcome = step(state, _act(0), streams)
+    outcome = step(state, (0,), streams)
     # head (age 2 > 1) purged first, second packet (age 1) served
     assert outcome.new_violations == 1
     assert outcome.delivered_delays == (1,)
@@ -134,8 +132,7 @@ def test_reward_sum_equals_delivered_and_conservation():
     reward_total = 0
     for _ in range(cfg.steps):
         obs = observe(state)
-        action = _act(*lqf_select(obs.q, cfg.max_scheduled))
-        reward_total += step(state, action, streams).reward
+        reward_total += step(state, lqf_select(obs.q, cfg.max_scheduled), streams).reward
     assert reward_total == state.delivered
     assert conservation_gap(state) == 0
 
@@ -147,9 +144,8 @@ def test_fifo_service_order_per_node():
     last_arrival = [-1] * cfg.n_nodes
     for _ in range(cfg.steps):
         obs = observe(state)
-        action = _act(*lqf_select(obs.q, cfg.max_scheduled))
         t = state.t
-        outcome = step(state, action, streams)
+        outcome = step(state, lqf_select(obs.q, cfg.max_scheduled), streams)
         for node, delay in zip(outcome.served, outcome.delivered_delays):
             arrived = t - delay
             assert arrived >= last_arrival[node]
@@ -158,9 +154,9 @@ def test_fifo_service_order_per_node():
 
 def test_metrics_arithmetic():
     state, streams = _quiet_state()
-    state.nodes[0].queue.append(Packet(arrival_slot=2))
+    state.queues[0].append(2)
     state.t = 5
-    step(state, _act(0), streams)
+    step(state, (0,), streams)
     report = metrics(state)
     assert report.avg_delay == pytest.approx(3.0)
     assert report.violations == 0 and report.drops == 0
@@ -174,7 +170,7 @@ def test_metrics_zero_traffic():
     state = reset(cfg)
     streams = traffic_streams(cfg.base_seed, 0)
     for _ in range(cfg.steps):
-        step(state, _act(), streams)
+        step(state, (), streams)
     report = metrics(state)
     assert report.throughput == 0.0
     assert report.avg_queue == 0.0
@@ -189,10 +185,10 @@ def test_imagined_next_examples():
 
 def test_record_model_error_rows():
     state, streams = _quiet_state(n_nodes=2, lambda_base=(0.0, 0.0), deadlines=(None, None))
-    step(state, _act(), streams)
+    step(state, (), streams)
     record_model_error(state, (2, 1), (2, 1))
     assert list(state.model_error_matrix[0]) == [0, 0]
-    step(state, _act(), streams)
+    step(state, (), streams)
     record_model_error(state, (2, 1), (4, 1))
     assert list(state.model_error_matrix[1]) == [2, 0]
 
@@ -207,9 +203,9 @@ def test_simulation_ended():
     cfg = make_cfg(lam=0.0, steps=1)
     state = reset(cfg)
     streams = traffic_streams(cfg.base_seed, 0)
-    step(state, _act(), streams)
+    step(state, (), streams)
     with pytest.raises(SimulationEnded):
-        step(state, _act(), streams)
+        step(state, (), streams)
 
 
 def test_schedule_rows_respect_budget():
@@ -218,14 +214,16 @@ def test_schedule_rows_respect_budget():
     streams = traffic_streams(cfg.base_seed, 0)
     for _ in range(50):
         obs = observe(state)
-        action = _act(*lqf_select(obs.q, cfg.max_scheduled))
-        step(state, action, streams)
+        step(state, lqf_select(obs.q, cfg.max_scheduled), streams)
     assert int(state.schedule_matrix[:50].sum(axis=1).max()) <= cfg.max_scheduled
 
 
 def test_oversized_or_alien_schedule_rejected():
     state, streams = _quiet_state()
     with pytest.raises(ValueError):
-        step(state, _act(0, 1, 2, 3), streams)
+        step(state, (0, 1, 2, 3), streams)
     with pytest.raises(ValueError):
-        step(state, _act(9), streams)
+        step(state, (9,), streams)
+    with pytest.raises(ValueError):
+        step(state, (2, 2), streams)  # a repeated id would be served twice
+    assert state.t == 0  # a rejected schedule changes nothing
