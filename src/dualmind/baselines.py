@@ -201,4 +201,4 @@ class QLearningPolicy:
 
     def update(self, schedule, outcome, next_obs) -> None:
         key, idx = self._pending
-        q_update(self.table, key, idx, outcome.reward, q_state_key(next_obs.q))
+        q_update(self.table, key, idx, len(outcome.served), q_state_key(next_obs.q))

@@ -9,7 +9,7 @@ interference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -46,14 +46,21 @@ class Provenance(Enum):
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Unordered interference pairs; two paired nodes may not transmit together."""
+    """Unordered interference pairs; two paired nodes may not transmit together.
+
+    Each pair is stored as (min, max) whichever way round it was given, so
+    symmetry is implicit.
+    """
 
     pairs: frozenset[tuple[int, int]] = frozenset()
 
+    def __post_init__(self) -> None:
+        normalised = frozenset((min(i, j), max(i, j)) for i, j in self.pairs)
+        object.__setattr__(self, "pairs", normalised)
+
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> ConflictGraph:
-        """Build a graph with each pair stored as (min, max); symmetry is implicit."""
-        return cls(frozenset((min(i, j), max(i, j)) for i, j in pairs))
+        return cls(frozenset(pairs))
 
     def contains(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.pairs
@@ -89,7 +96,7 @@ class ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check every config invariant and return the config with a normalised conflict graph.
+    """Check every config invariant and return the config unchanged.
 
     Raises InvalidConfig naming the offending field.
     """
@@ -131,7 +138,7 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise InvalidConfig("burst_amplitude_range", "need 0 <= low <= high")
     if not 0 <= cfg.base_seed < 2**64:
         raise InvalidConfig("base_seed", "must fit in 64 unsigned bits")
-    return replace(cfg, conflict_graph=ConflictGraph.from_pairs(cfg.conflict_graph.pairs))
+    return cfg
 
 
 def default_lambda(n_nodes: int) -> tuple[float, ...]:

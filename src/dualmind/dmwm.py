@@ -50,14 +50,15 @@ def slow_mind_select(
 
     Draining schedule S for `horizon` steps sends min(q_i, horizon) packets
     from each member, so the rollout score is the sum of those weights over
-    S and no trajectory is needed. max() keeps the first maximum, so ties
+    S and no trajectory is needed. index() finds the first maximum, so ties
     keep the earliest schedule in enumeration order.
     """
     if not feasible:
         return None
-    w = [min(v, horizon) for v in q]
-    best = max(feasible, key=lambda s: sum(w[i] for i in s))
-    return best, sum(w[i] for i in best)
+    weight = [min(v, horizon) for v in q].__getitem__
+    scores = [sum(map(weight, s)) for s in feasible]
+    top = max(scores)
+    return feasible[scores.index(top)], top
 
 
 def fast_mind_select(

@@ -1,9 +1,11 @@
 """Feasibility filtering for candidate schedules.
 
 A schedule passes when every member has a backlog, no member's head packet
-has outlived its deadline, and no two members interfere. The filter is a
-pure predicate; enumeration recomputes it each slot, which is cheap at the
-node counts this testbed targets.
+has outlived its deadline, and no two members interfere. icn_check states
+that predicate for one schedule. enumerate_feasible filters the eligible
+nodes (backlogged, head within its deadline) once per slot and builds only
+their k-subsets with no conflicting pair, so its cost follows the eligible
+and feasible counts rather than C(n, k).
 """
 
 from __future__ import annotations
@@ -46,11 +48,17 @@ def enumerate_feasible(
 ) -> list[tuple[int, ...]]:
     """All feasible schedules of exactly k nodes, in lexicographic order.
 
-    An empty result means no full-size schedule is feasible and the caller
-    falls back to the reactive rule.
+    Subsets of the eligible nodes keep the lexicographic order of
+    combinations(range(n_nodes), k). Conflict pairs are stored as
+    (min, max), as combinations() yields them, so a disjointness test is
+    icn_check's pairwise rule. An empty result means no full-size schedule
+    is feasible and the caller falls back to the reactive rule.
     """
-    return [
-        candidate
-        for candidate in combinations(range(n_nodes), k)
-        if icn_check(candidate, q, oldest_age, deadlines, conflicts)
+    eligible = [
+        i
+        for i in range(n_nodes)
+        if q[i] > 0
+        and (deadlines[i] is None or oldest_age[i] is None or oldest_age[i] <= deadlines[i])
     ]
+    pairs = conflicts.pairs
+    return [c for c in combinations(eligible, k) if pairs.isdisjoint(combinations(c, 2))]

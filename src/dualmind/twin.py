@@ -33,13 +33,12 @@ class Observation(NamedTuple):
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """What one slot produced: services, their delays, losses, and the slot reward."""
+    """What one slot produced: the nodes served, their delays, and losses."""
 
     served: tuple[int, ...]
     delivered_delays: tuple[int, ...]
     new_violations: int
     new_drops: int
-    reward: int
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,7 @@ def step(state: TwinState, schedule: Sequence[int], streams: TrafficStreams) -> 
     """Advance one slot: purge expired packets, serve the schedule, inject arrivals, record.
 
     schedule holds distinct node ids. Service is one packet per scheduled
-    node; a scheduled node with an empty queue wastes its slot and
-    contributes no reward.
+    node; a scheduled node with an empty queue wastes its slot.
     """
     cfg = state.cfg
     t = state.t
@@ -139,7 +137,6 @@ def step(state: TwinState, schedule: Sequence[int], streams: TrafficStreams) -> 
             delays.append(t - queue.popleft())
     state.delivered += len(served)
     state.total_delay += sum(delays)
-    reward = len(served)
 
     # 3) arrivals: enqueue up to the buffer bound, count overflow as drops
     counts = generate_arrivals(cfg, t, streams)
@@ -164,7 +161,6 @@ def step(state: TwinState, schedule: Sequence[int], streams: TrafficStreams) -> 
         delivered_delays=tuple(delays),
         new_violations=new_violations,
         new_drops=new_drops,
-        reward=reward,
     )
 
 

@@ -1,8 +1,10 @@
 """Command line interface: subcommands, file outputs, error paths, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,10 +137,15 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
 
 
 def test_module_invocation_smoke():
+    # the child does not inherit pytest's pythonpath, so hand it src explicitly
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dualmind", "scenario", "show", "default"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n_nodes"] == 5

@@ -120,6 +120,14 @@ def test_conflict_graph_symmetry_exhaustive():
     assert graph.contains(1, 3) and graph.contains(4, 0) and graph.contains(0, 2)
 
 
+def test_conflict_graph_normalises_pairs_on_construction():
+    # built directly, not through from_pairs: (3, 1) must still block 1 with 3
+    graph = ConflictGraph(frozenset({(3, 1)}))
+    assert graph.pairs == frozenset({(1, 3)})
+    assert graph.contains(1, 3) and graph.contains(3, 1)
+    assert graph == ConflictGraph.from_pairs([(1, 3)])
+
+
 def test_validate_symmetrizes_pair_order():
     cfg = validate_config(make_cfg(pairs=[(3, 1)]))
     assert cfg.conflict_graph.contains(1, 3)

@@ -65,6 +65,28 @@ def test_slow_mind_tie_keeps_enumeration_order():
     assert slow_mind_select([(0,), (1,)], (2, 2), 1) == ((0,), 1)
 
 
+def test_slow_mind_matches_max_oracle_with_ties():
+    rng = np.random.default_rng(4242)
+    tied = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 10))
+        k = int(rng.integers(1, n + 1))
+        horizon = int(rng.integers(1, 5))
+        q = tuple(int(rng.integers(0, 6)) for _ in range(n))
+        feasible = [
+            tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+            for _ in range(int(rng.integers(1, 12)))
+        ]
+
+        def score(s):
+            return sum(min(q[i], horizon) for i in s)
+
+        best = max(feasible, key=score)
+        assert slow_mind_select(feasible, q, horizon) == (best, score(best))
+        tied += [score(s) for s in feasible].count(score(best)) > 1
+    assert tied >= 500  # ties must be common for the tie order to be tested
+
+
 def test_fast_mind_urgency_doubling():
     q = (5, 3, 4, 1, 2)
     deadlines = (None, 8, None, 4, None)

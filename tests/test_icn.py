@@ -96,6 +96,48 @@ def test_matches_brute_force_on_random_states():
         assert got == want, f"trial {trial}: {got} != {want}"
 
 
+def _old_enumerate(n, k, q, ages, deadlines, graph):
+    """The previous enumeration, kept as an oracle: every k-subset through icn_check."""
+    return [c for c in combinations(range(n), k) if icn_check(c, q, ages, deadlines, graph)]
+
+
+def test_matches_full_enumeration_oracle_on_random_states():
+    rng = np.random.default_rng(20261018)
+    nonempty = 0
+    for trial in range(5000):
+        n = int(rng.integers(1, 13))
+        k = int(rng.integers(1, n + 1))
+        zero_share = rng.random() * 0.5
+        q = tuple(0 if rng.random() < zero_share else int(rng.integers(1, 6)) for _ in range(n))
+        ages = tuple(int(rng.integers(0, 12)) if q[i] > 0 else None for i in range(n))
+        deadlines = tuple(
+            int(rng.integers(1, 10)) if rng.random() < 0.5 else None for _ in range(n)
+        )
+        density = rng.random() * 0.5
+        # each pair in a random orientation: the graph must normalise it
+        pairs = frozenset(
+            (i, j) if rng.random() < 0.5 else (j, i)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        )
+        graph = ConflictGraph(pairs)
+        got = enumerate_feasible(n, k, q, ages, deadlines, graph)
+        want = _old_enumerate(n, k, q, ages, deadlines, graph)
+        assert got == want, f"trial {trial}: {got} != {want}"
+        nonempty += bool(want)
+    assert nonempty >= 1000  # many states must leave something to enumerate
+
+
+def test_reversed_pair_blocks_both_orders():
+    graph = ConflictGraph(frozenset({(3, 1)}))
+    q = (1, 1, 1, 1)
+    got = enumerate_feasible(4, 2, q, (0,) * 4, (None,) * 4, graph)
+    assert (1, 3) not in got
+    assert got == [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+    assert not icn_check((1, 3), q, (0,) * 4, (None,) * 4, graph)
+
+
 def test_adding_conflicts_never_grows_feasible_set():
     rng = np.random.default_rng(555)
     for _ in range(100):

@@ -61,7 +61,6 @@ def test_single_dequeue():
     state.queues[0].append(0)
     outcome = step(state, (0,), streams)
     assert outcome.served == (0,)
-    assert outcome.reward == 1
     assert outcome.delivered_delays == (0,)
     assert len(state.queues[0]) == 0
     assert state.delivered == 1
@@ -71,7 +70,6 @@ def test_scheduled_empty_node_contributes_nothing():
     state, streams = _quiet_state()
     outcome = step(state, (1,), streams)
     assert outcome.served == ()
-    assert outcome.reward == 0
     assert state.delivered == 0
 
 
@@ -129,11 +127,11 @@ def test_reward_sum_equals_delivered_and_conservation():
     cfg = builtin_scenario("bursty")
     state = reset(cfg)
     streams = traffic_streams(cfg.base_seed, 1)
-    reward_total = 0
+    served_total = 0
     for _ in range(cfg.steps):
         obs = observe(state)
-        reward_total += step(state, lqf_select(obs.q, cfg.max_scheduled), streams).reward
-    assert reward_total == state.delivered
+        served_total += len(step(state, lqf_select(obs.q, cfg.max_scheduled), streams).served)
+    assert served_total == state.delivered
     assert conservation_gap(state) == 0
 
 
