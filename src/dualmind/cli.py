@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .core import (
     BUILTIN_SCENARIOS,
-    InvalidConfig,
+    Provenance,
     ScenarioConfig,
     UnknownScenario,
     builtin_scenario,
@@ -56,6 +56,7 @@ def _resolve_scenario(name_or_path: str) -> tuple[str, ScenarioConfig]:
 
 
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
+    """cfg with the command's --seed and any --steps/--horizon it has, validated."""
     overrides = {"base_seed": args.seed}
     if getattr(args, "steps", None) is not None:
         overrides["steps"] = args.steps
@@ -70,15 +71,20 @@ def _ensure_out(args: argparse.Namespace) -> Path:
     return out
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    name, cfg = _resolve_scenario(args.scenario)
-    cfg = _apply_overrides(cfg, args)
+def _run_and_write(
+    args: argparse.Namespace,
+    scenarios: Sequence[tuple[str, ScenarioConfig]],
+    policies: Sequence[str],
+    metadata: dict,
+):
+    """Run the grid, then write runs.csv, summary.csv and summary.json into --out."""
     out = _ensure_out(args)
+    paired = not args.independent_traffic
     records = run_experiment(
-        scenarios=[(name, cfg)],
-        policies=[args.policy],
+        scenarios=scenarios,
+        policies=policies,
         runs=args.runs,
-        paired=not args.independent_traffic,
+        paired=paired,
         workers=args.workers,
     )
     aggs = aggregate(records)
@@ -87,14 +93,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     write_summary_json(
         out / "summary.json",
         aggs,
-        metadata={
-            "scenario": name,
-            "policy": args.policy,
-            "runs": args.runs,
-            "steps": cfg.steps,
-            "base_seed": cfg.base_seed,
-            "paired_traffic": not args.independent_traffic,
-        },
+        metadata={**metadata, "runs": args.runs, "base_seed": args.seed, "paired_traffic": paired},
+    )
+    return out, records, aggs
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    name, cfg = _resolve_scenario(args.scenario)
+    cfg = _apply_overrides(cfg, args)
+    out, _, aggs = _run_and_write(
+        args,
+        [(name, cfg)],
+        [args.policy],
+        {"scenario": name, "policy": args.policy, "steps": cfg.steps},
     )
     agg = aggs[0]
     print(
@@ -108,29 +119,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    out = _ensure_out(args)
-    records = run_experiment(
-        scenarios=BUILTIN_SCENARIOS,
-        policies=POLICY_NAMES,
-        runs=args.runs,
-        base_seed=args.seed,
-        steps=args.steps,
-        paired=not args.independent_traffic,
-        workers=args.workers,
-    )
-    aggs = aggregate(records)
-    write_runs_csv(out / "runs.csv", records)
-    write_summary_csv(out / "summary.csv", aggs)
-    write_summary_json(
-        out / "summary.json",
-        aggs,
-        metadata={
-            "scenarios": list(BUILTIN_SCENARIOS),
-            "policies": list(POLICY_NAMES),
-            "runs": args.runs,
-            "base_seed": args.seed,
-            "paired_traffic": not args.independent_traffic,
-        },
+    scenarios = [(name, _apply_overrides(builtin_scenario(name), args)) for name in BUILTIN_SCENARIOS]
+    out, records, aggs = _run_and_write(
+        args,
+        scenarios,
+        POLICY_NAMES,
+        {"scenarios": list(BUILTIN_SCENARIOS), "policies": list(POLICY_NAMES)},
     )
     print(
         f"campaign complete: {len(records)} runs, {len(aggs)} (scenario, policy) rows; "
@@ -141,7 +135,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     name, cfg = _resolve_scenario(args.scenario)
-    cfg = validate_config(replace(cfg, base_seed=args.seed))
+    cfg = _apply_overrides(cfg, args)
     out = _ensure_out(args)
     policy = make_policy("dmwm", cfg)
     record = run_episode(cfg, policy, args.run_index, scenario=name)
@@ -149,7 +143,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     write_matrix_csv(out / "model_error.csv", record.model_error_matrix)
     write_matrix_csv(out / "queue_lengths.csv", record.queue_lengths)
     write_decision_trace_csv(out / "decisions.csv", record.decision_trace)
-    slow = sum(1 for rec in record.decision_trace if rec.provenance.value == "slow_mind")
+    slow = sum(1 for rec in record.decision_trace if rec.provenance is Provenance.SLOW_MIND)
     print(
         f"traced dmwm on {name} (seed {args.seed}, run {args.run_index}): "
         f"{slow}/{cfg.steps} slots planned, throughput {record.metrics.throughput:.4f} pkt/slot"
@@ -217,10 +211,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnknownScenario, InvalidConfig) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    # InvalidConfig, UnknownScenario and json.JSONDecodeError are ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ interference.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -218,17 +219,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     }
 
 
-_REQUIRED_FIELDS = ("n_nodes", "max_scheduled", "buffer", "steps", "horizon", "lambda_base", "deadlines")
-_OPTIONAL_FIELDS = (
-    "conflict_graph",
-    "burst_nodes",
-    "burst_probability",
-    "burst_amplitude_range",
-    "fallback_conflict_aware",
-    "base_seed",
-)
-
-
 def _json_number(field_name: str, value, kind: type):
     """value as kind (int or float); JSON booleans and strings are refused, and
     so are non-integers in int fields."""
@@ -259,15 +249,20 @@ def _json_pair(value) -> tuple:
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Parse and validate a scenario document produced by scenario_to_dict.
 
-    Every value must already have its field's JSON type; none is coerced.
+    The document must be a JSON object keyed by ScenarioConfig field names;
+    fields without a default are required. Every value must already have
+    its field's JSON type; none is coerced.
     """
-    known = set(_REQUIRED_FIELDS) | set(_OPTIONAL_FIELDS)
+    if not isinstance(doc, dict):
+        raise InvalidConfig("scenario", f"need a JSON object, got {doc!r}")
+    config_fields = dataclasses.fields(ScenarioConfig)
+    known = {f.name for f in config_fields}
     for key in doc:
         if key not in known:
             raise InvalidConfig(key, "unknown field")
-    for key in _REQUIRED_FIELDS:
-        if key not in doc:
-            raise InvalidConfig(key, "missing field")
+    for f in config_fields:
+        if f.default is dataclasses.MISSING and f.name not in doc:
+            raise InvalidConfig(f.name, "missing field")
     defaults = ScenarioConfig(
         n_nodes=1, max_scheduled=1, buffer=1, steps=1, horizon=1,
         lambda_base=(1.0,), deadlines=(None,),

@@ -14,7 +14,7 @@ import csv
 import json
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .baselines import (
     QLearningPolicy,
     RandomPolicy,
 )
-from .core import BUILTIN_SCENARIOS, ScenarioConfig, builtin_scenario, validate_config
+from .core import BUILTIN_SCENARIOS, ScenarioConfig, builtin_scenario
 from .dmwm import DecisionRecord, DmwmScheduler
 from .traffic import policy_stream, traffic_streams
 from .twin import (
@@ -39,8 +39,6 @@ from .twin import (
     step,
 )
 
-POLICY_NAMES = ("dmwm", "random", "lqf", "deadline", "rr", "qlearn")
-
 _POLICY_FACTORIES = {
     "dmwm": DmwmScheduler,
     "random": RandomPolicy,
@@ -49,6 +47,8 @@ _POLICY_FACTORIES = {
     "rr": FairRoundRobinPolicy,
     "qlearn": QLearningPolicy,
 }
+
+POLICY_NAMES = tuple(_POLICY_FACTORIES)
 
 
 def make_policy(name: str, cfg: ScenarioConfig):
@@ -136,38 +136,10 @@ def _episode_job(job: tuple[str, ScenarioConfig, str, int, int]) -> RunRecord:
     return run_episode(cfg, policy, run_index, scenario=scenario, traffic_salt=salt)
 
 
-def _resolve_scenarios(
-    scenarios: Sequence[str | tuple[str, ScenarioConfig]],
-    base_seed: int | None,
-    steps: int | None,
-    horizon: int | None,
-) -> list[tuple[str, ScenarioConfig]]:
-    resolved = []
-    for item in scenarios:
-        if isinstance(item, str):
-            name, cfg = item, builtin_scenario(item)
-        else:
-            name, cfg = item
-        overrides = {}
-        if base_seed is not None:
-            overrides["base_seed"] = base_seed
-        if steps is not None:
-            overrides["steps"] = steps
-        if horizon is not None:
-            overrides["horizon"] = horizon
-        if overrides:
-            cfg = validate_config(replace(cfg, **overrides))
-        resolved.append((name, cfg))
-    return resolved
-
-
 def run_experiment(
     scenarios: Sequence[str | tuple[str, ScenarioConfig]] = BUILTIN_SCENARIOS,
     policies: Sequence[str] = POLICY_NAMES,
     runs: int = 30,
-    base_seed: int | None = None,
-    steps: int | None = None,
-    horizon: int | None = None,
     paired: bool = True,
     workers: int = 1,
 ) -> list[RunRecord]:
@@ -175,11 +147,14 @@ def run_experiment(
 
     Records come back ordered by (scenario, policy, run_index) regardless of
     worker count. Scenario entries may be builtin names or (label, config)
-    pairs; seed/steps/horizon overrides apply to every scenario when given.
+    pairs. Every config runs exactly as given: to change its seed, steps or
+    horizon, pass dataclasses.replace(cfg, ...) instead.
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    resolved = _resolve_scenarios(scenarios, base_seed, steps, horizon)
+    if workers < 1:
+        raise ValueError("need at least one worker")
+    resolved = [(item, builtin_scenario(item)) if isinstance(item, str) else item for item in scenarios]
     jobs = [
         (name, cfg, policy_name, run_index, 0 if paired else _policy_salt(policy_name))
         for name, cfg in resolved
@@ -194,7 +169,11 @@ def run_experiment(
 
 @dataclass(frozen=True)
 class PolicyAggregate:
-    """Mean and sample standard deviation of each metric for one (scenario, policy)."""
+    """Mean and sample standard deviation of each metric for one (scenario, policy).
+
+    The (mean, std) pairs follow the field order of RunMetrics, which
+    aggregate fills them from.
+    """
 
     scenario: str
     policy: str
@@ -211,6 +190,9 @@ class PolicyAggregate:
     drops_std: float
 
 
+_METRICS = tuple(f.name for f in fields(RunMetrics))
+
+
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
@@ -224,50 +206,24 @@ def aggregate(records: Sequence[RunRecord]) -> list[PolicyAggregate]:
     groups: dict[tuple[str, str], list[RunRecord]] = {}
     for rec in records:
         groups.setdefault((rec.scenario, rec.policy), []).append(rec)
-    out = []
-    for (scenario, policy), recs in groups.items():
-        thr = _mean_std([r.metrics.throughput for r in recs])
-        queue = _mean_std([r.metrics.avg_queue for r in recs])
-        delay = _mean_std([r.metrics.avg_delay for r in recs])
-        violations = _mean_std([r.metrics.violations for r in recs])
-        drops = _mean_std([r.metrics.drops for r in recs])
-        out.append(
-            PolicyAggregate(
-                scenario=scenario,
-                policy=policy,
-                runs=len(recs),
-                throughput_mean=thr[0],
-                throughput_std=thr[1],
-                queue_mean=queue[0],
-                queue_std=queue[1],
-                delay_mean=delay[0],
-                delay_std=delay[1],
-                violations_mean=violations[0],
-                violations_std=violations[1],
-                drops_mean=drops[0],
-                drops_std=drops[1],
-            )
+    return [
+        PolicyAggregate(
+            scenario,
+            policy,
+            len(recs),
+            *(
+                stat
+                for name in _METRICS
+                for stat in _mean_std([getattr(r.metrics, name) for r in recs])
+            ),
         )
-    return out
+        for (scenario, policy), recs in groups.items()
+    ]
 
 
-SUMMARY_COLUMNS = (
-    "scenario",
-    "policy",
-    "runs",
-    "throughput_mean",
-    "throughput_std",
-    "queue_mean",
-    "queue_std",
-    "delay_mean",
-    "delay_std",
-    "violations_mean",
-    "violations_std",
-    "drops_mean",
-    "drops_std",
-)
+SUMMARY_COLUMNS = tuple(f.name for f in fields(PolicyAggregate))
 
-RUN_COLUMNS = ("scenario", "policy", "run", "throughput", "avg_queue", "avg_delay", "violations", "drops")
+RUN_COLUMNS = ("scenario", "policy", "run") + _METRICS
 
 
 def _fmt(value) -> str:
@@ -301,18 +257,9 @@ def write_runs_csv(path, records: Sequence[RunRecord]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RUN_COLUMNS)
         for rec in records:
-            m = rec.metrics
             writer.writerow(
-                [
-                    rec.scenario,
-                    rec.policy,
-                    rec.run_index,
-                    _fmt(m.throughput),
-                    _fmt(m.avg_queue),
-                    _fmt(m.avg_delay),
-                    m.violations,
-                    m.drops,
-                ]
+                [rec.scenario, rec.policy, rec.run_index]
+                + [_fmt(getattr(rec.metrics, name)) for name in _METRICS]
             )
 
 

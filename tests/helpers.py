@@ -2,9 +2,10 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
-from dualmind.core import ConflictGraph, ScenarioConfig
+from dualmind.core import BUILTIN_SCENARIOS, ConflictGraph, ScenarioConfig, builtin_scenario
 
 # SHA-256 of the seed-42 CLI outputs; a change here is a change in results.
 GOLDEN_SHA256 = json.loads((Path(__file__).parent / "golden" / "sha256.json").read_text())
@@ -12,6 +13,11 @@ GOLDEN_SHA256 = json.loads((Path(__file__).parent / "golden" / "sha256.json").re
 
 def sha256_of(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def builtin_entries(names=BUILTIN_SCENARIOS, **overrides):
+    """(name, config) scenario entries for run_experiment: builtins with fields replaced."""
+    return [(name, replace(builtin_scenario(name), **overrides)) for name in names]
 
 
 def make_cfg(

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from dualmind.baselines import QTable, q_select, q_update
-from dualmind.core import BUILTIN_SCENARIOS, ConflictGraph, Provenance
+from dualmind.core import ConflictGraph, Provenance
 from dualmind.cli import main
 from dualmind.harness import POLICY_NAMES, aggregate, run_experiment
 from dualmind.icn import enumerate_feasible
 from dualmind.dmwm import rollout, slow_mind_select
 from dualmind.traffic import make_rng, sample_poisson
-from helpers import GOLDEN_SHA256, make_cfg, sha256_of
+from helpers import GOLDEN_SHA256, builtin_entries, make_cfg, sha256_of
 
 
 def _report(criterion, detail):
@@ -31,7 +31,7 @@ def _report(criterion, detail):
 def campaign():
     start = time.perf_counter()
     records = run_experiment(
-        scenarios=BUILTIN_SCENARIOS, policies=POLICY_NAMES, runs=30, base_seed=42, paired=True
+        scenarios=builtin_entries(base_seed=42), policies=POLICY_NAMES, runs=30, paired=True
     )
     elapsed = time.perf_counter() - start
     return records, aggregate(records), elapsed

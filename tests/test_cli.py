@@ -87,6 +87,29 @@ def test_run_rejects_nan_burst_amplitudes(tmp_path, capsys):
     assert "burst_amplitude_range" in capsys.readouterr().err
 
 
+def test_run_rejects_non_object_scenario_file(tmp_path, capsys):
+    path = tmp_path / "scalar.json"
+    path.write_text("5")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: scenario: need a JSON object, got 5\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_run_rejects_workers_below_one(tmp_path, capsys, workers):
+    args = ["run", "--runs", "1", "--steps", "10", "--workers", workers, "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: need at least one worker\n"
+
+
+@pytest.mark.parametrize(
+    "command", [key for key in GOLDEN_SHA256 if key.startswith("run ")]
+)
+def test_run_matches_golden(tmp_path, command):
+    assert main(command.split() + ["--out", str(tmp_path)]) == 0
+    for name, golden in GOLDEN_SHA256[command].items():
+        assert sha256_of(tmp_path / name) == golden, name
+
+
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_campaign_rejects_bad_step_override(tmp_path, capsys, steps):
     assert main(["campaign", "--runs", "1", "--steps", steps, "--out", str(tmp_path / "c")]) == 2
@@ -125,8 +148,9 @@ def test_trace_exports_matrices(tmp_path):
 @pytest.mark.parametrize("scenario", BUILTIN_SCENARIOS)
 def test_trace_decisions_match_golden(tmp_path, scenario):
     assert main(["trace", "--scenario", scenario, "--seed", "42", "--out", str(tmp_path)]) == 0
-    golden = GOLDEN_SHA256["trace --seed 42 decisions.csv"][scenario]
-    assert sha256_of(tmp_path / "decisions.csv") == golden
+    for name in ("decisions.csv", "schedule.csv", "model_error.csv", "queue_lengths.csv"):
+        golden = GOLDEN_SHA256[f"trace --seed 42 {name}"][scenario]
+        assert sha256_of(tmp_path / name) == golden, name
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """Config types, validation, builtin scenarios, JSON round-trips."""
 
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import pytest
 
@@ -9,6 +9,7 @@ from dualmind.core import (
     BUILTIN_SCENARIOS,
     ConflictGraph,
     InvalidConfig,
+    ScenarioConfig,
     UnknownScenario,
     builtin_scenario,
     scenario_from_dict,
@@ -217,3 +218,21 @@ def test_json_missing_field_rejected():
     with pytest.raises(InvalidConfig) as exc:
         scenario_from_dict(doc)
     assert exc.value.field == "steps"
+
+
+@pytest.mark.parametrize("doc", [5, None, [1, 2], "abc"])
+def test_json_document_must_be_an_object(doc):
+    with pytest.raises(InvalidConfig, match="need a JSON object") as exc:
+        scenario_from_dict(doc)
+    assert exc.value.field == "scenario"
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(ScenarioConfig)])
+def test_json_field_required_unless_it_has_a_default(field):
+    doc = scenario_to_dict(builtin_scenario("default"))
+    del doc[field]
+    if getattr(ScenarioConfig, field, MISSING) is MISSING:
+        with pytest.raises(InvalidConfig, match="missing field"):
+            scenario_from_dict(doc)
+    else:
+        assert getattr(scenario_from_dict(doc), field) == getattr(ScenarioConfig, field)

@@ -1,19 +1,22 @@
 """Campaign mechanics: determinism, traffic pairing, aggregation, parallel equality."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from dualmind.core import builtin_scenario
 from dualmind.harness import (
     POLICY_NAMES,
+    RUN_COLUMNS,
+    SUMMARY_COLUMNS,
     aggregate,
     make_policy,
     run_episode,
     run_experiment,
 )
-from helpers import make_cfg
-
-_MINI = dict(runs=2, steps=50, base_seed=11)
+from dualmind.twin import RunMetrics
+from helpers import builtin_entries, make_cfg
 
 
 def _records_equal(a, b):
@@ -43,7 +46,7 @@ def test_zero_traffic_zero_metrics():
 
 
 def test_conservation_identity_mini_grid():
-    records = run_experiment(**_MINI)
+    records = run_experiment(scenarios=builtin_entries(steps=50, base_seed=11), runs=2)
     assert len(records) == 4 * 6 * 2
     for rec in records:
         m = rec.metrics
@@ -51,7 +54,9 @@ def test_conservation_identity_mini_grid():
 
 
 def test_record_ordering():
-    records = run_experiment(scenarios=("bursty", "default"), policies=("lqf", "random"), runs=2, steps=30)
+    records = run_experiment(
+        scenarios=builtin_entries(("bursty", "default"), steps=30), policies=("lqf", "random"), runs=2
+    )
     keys = [(r.scenario, r.policy, r.run_index) for r in records]
     assert keys == [
         (s, p, r) for s in ("bursty", "default") for p in ("lqf", "random") for r in range(2)
@@ -59,7 +64,9 @@ def test_record_ordering():
 
 
 def test_paired_traffic_identical_across_policies():
-    records = run_experiment(scenarios=("bursty",), policies=("random", "lqf"), runs=3, steps=80)
+    records = run_experiment(
+        scenarios=builtin_entries(("bursty",), steps=80), policies=("random", "lqf"), runs=3
+    )
     by = {(r.policy, r.run_index): r for r in records}
     for run_index in range(3):
         a = by[("random", run_index)]
@@ -70,7 +77,7 @@ def test_paired_traffic_identical_across_policies():
 
 def test_unpaired_traffic_differs():
     records = run_experiment(
-        scenarios=("bursty",), policies=("random", "lqf"), runs=3, steps=80, paired=False
+        scenarios=builtin_entries(("bursty",), steps=80), policies=("random", "lqf"), runs=3, paired=False
     )
     by = {(r.policy, r.run_index): r for r in records}
     assert any(
@@ -79,7 +86,7 @@ def test_unpaired_traffic_differs():
 
 
 def test_aggregate_means_exact():
-    records = run_experiment(scenarios=("default",), policies=("lqf",), runs=4, steps=60)
+    records = run_experiment(scenarios=builtin_entries(("default",), steps=60), policies=("lqf",), runs=4)
     agg = aggregate(records)[0]
     values = [r.metrics.throughput for r in records]
     assert agg.runs == 4
@@ -87,23 +94,57 @@ def test_aggregate_means_exact():
     assert agg.violations_mean == pytest.approx(
         sum(r.metrics.violations for r in records) / 4
     )
+    # aggregate fills PolicyAggregate by position; check every pair by name
+    prefix = {
+        "throughput": "throughput",
+        "avg_queue": "queue",
+        "avg_delay": "delay",
+        "violations": "violations",
+        "drops": "drops",
+    }
+    assert list(prefix) == [f.name for f in fields(RunMetrics)]
+    for name, x in prefix.items():
+        column = np.array([getattr(r.metrics, name) for r in records], dtype=float)
+        assert getattr(agg, f"{x}_mean") == float(column.mean()), name
+        assert getattr(agg, f"{x}_std") == float(column.std(ddof=1)), name
+
+
+def test_result_columns_are_pinned():
+    assert RUN_COLUMNS == (
+        "scenario", "policy", "run", "throughput", "avg_queue", "avg_delay", "violations", "drops"
+    )
+    assert SUMMARY_COLUMNS == (
+        "scenario",
+        "policy",
+        "runs",
+        "throughput_mean",
+        "throughput_std",
+        "queue_mean",
+        "queue_std",
+        "delay_mean",
+        "delay_std",
+        "violations_mean",
+        "violations_std",
+        "drops_mean",
+        "drops_std",
+    )
 
 
 def test_aggregate_std_sample_convention():
-    records = run_experiment(scenarios=("default",), policies=("random",), runs=5, steps=60)
+    records = run_experiment(scenarios=builtin_entries(("default",), steps=60), policies=("random",), runs=5)
     agg = aggregate(records)[0]
     values = np.array([r.metrics.throughput for r in records])
     assert agg.throughput_std == pytest.approx(values.std(ddof=1))
 
 
 def test_single_run_std_is_zero():
-    records = run_experiment(scenarios=("default",), policies=("lqf",), runs=1, steps=30)
+    records = run_experiment(scenarios=builtin_entries(("default",), steps=30), policies=("lqf",), runs=1)
     agg = aggregate(records)[0]
     assert agg.throughput_std == 0.0
 
 
 def test_only_dmwm_carries_a_decision_trace():
-    records = run_experiment(scenarios=("default",), policies=("dmwm", "lqf"), runs=1, steps=30)
+    records = run_experiment(scenarios=builtin_entries(("default",), steps=30), policies=("dmwm", "lqf"), runs=1)
     by = {r.policy: r for r in records}
     assert by["dmwm"].decision_trace is not None
     assert len(by["dmwm"].decision_trace) == 30
@@ -111,10 +152,9 @@ def test_only_dmwm_carries_a_decision_trace():
 
 
 def test_parallel_workers_match_sequential():
-    sequential = run_experiment(scenarios=("default",), policies=("dmwm", "qlearn"), runs=2, steps=40)
-    parallel = run_experiment(
-        scenarios=("default",), policies=("dmwm", "qlearn"), runs=2, steps=40, workers=2
-    )
+    entries = builtin_entries(("default",), steps=40)
+    sequential = run_experiment(scenarios=entries, policies=("dmwm", "qlearn"), runs=2)
+    parallel = run_experiment(scenarios=entries, policies=("dmwm", "qlearn"), runs=2, workers=2)
     assert len(sequential) == len(parallel)
     for a, b in zip(sequential, parallel):
         assert (a.scenario, a.policy, a.run_index) == (b.scenario, b.policy, b.run_index)
@@ -125,7 +165,7 @@ def test_unknown_policy_rejected():
     cfg = builtin_scenario("default")
     with pytest.raises(ValueError, match="unknown policy"):
         make_policy("mws", cfg)
-    assert set(POLICY_NAMES) == {"dmwm", "random", "lqf", "deadline", "rr", "qlearn"}
+    assert POLICY_NAMES == ("dmwm", "random", "lqf", "deadline", "rr", "qlearn")
 
 
 def test_custom_scenario_entries():
