@@ -8,7 +8,8 @@ and a campaign harness that aggregates metrics over seeded runs.
 Every policy's decide(observation, rng) returns the slot's schedule as a
 sorted tuple of node ids; the dual-mind scheduler also logs a
 DecisionRecord per slot saying which mind chose it. The twin keeps each
-node's queue as a deque of packet arrival slots.
+node's queue as a deque of packet arrival slots, and its step takes the
+slot's per-node arrival counts, drawn for a whole run by draw_arrivals.
 """
 
 from .baselines import (
@@ -67,6 +68,7 @@ from .twin import (
     StepOutcome,
     TwinState,
     conservation_gap,
+    draw_arrivals,
     imagined_next,
     metrics,
     observe,

@@ -12,6 +12,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterable
 
 BUILTIN_SCENARIOS = ("default", "bursty", "deadline", "interference")
@@ -246,12 +247,57 @@ def _json_pair(value) -> tuple:
     return pair
 
 
+def _json_flag(field_name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise InvalidConfig(field_name, "must be true or false")
+    return value
+
+
+_json_int = partial(_json_number, kind=int)
+_json_float = partial(_json_number, kind=float)
+_json_floats = partial(_json_numbers, kind=float)
+
+
+def _json_deadlines(field_name: str, value) -> tuple:
+    return tuple(
+        None if d is None else _json_number(field_name, d, int)
+        for d in _json_list(field_name, value)
+    )
+
+
+def _json_conflicts(field_name: str, value) -> ConflictGraph:
+    return ConflictGraph.from_pairs(_json_pair(pair) for pair in _json_list(field_name, value))
+
+
+def _json_node_set(field_name: str, value) -> frozenset:
+    return frozenset(_json_numbers(field_name, value, int))
+
+
+# How each ScenarioConfig field is read from its JSON value.
+_JSON_PARSERS = {
+    "n_nodes": _json_int,
+    "max_scheduled": _json_int,
+    "buffer": _json_int,
+    "steps": _json_int,
+    "horizon": _json_int,
+    "lambda_base": _json_floats,
+    "deadlines": _json_deadlines,
+    "conflict_graph": _json_conflicts,
+    "burst_nodes": _json_node_set,
+    "burst_probability": _json_float,
+    "burst_amplitude_range": _json_floats,
+    "fallback_conflict_aware": _json_flag,
+    "base_seed": _json_int,
+}
+
+
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Parse and validate a scenario document produced by scenario_to_dict.
 
     The document must be a JSON object keyed by ScenarioConfig field names;
-    fields without a default are required. Every value must already have
-    its field's JSON type; none is coerced.
+    fields without a default are required, and ScenarioConfig supplies the
+    defaults of the others. Every value must already have its field's JSON
+    type; none is coerced.
     """
     if not isinstance(doc, dict):
         raise InvalidConfig("scenario", f"need a JSON object, got {doc!r}")
@@ -263,33 +309,5 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     for f in config_fields:
         if f.default is dataclasses.MISSING and f.name not in doc:
             raise InvalidConfig(f.name, "missing field")
-    defaults = ScenarioConfig(
-        n_nodes=1, max_scheduled=1, buffer=1, steps=1, horizon=1,
-        lambda_base=(1.0,), deadlines=(None,),
-    )
-    fields = {**scenario_to_dict(defaults), **doc}
-    if not isinstance(fields["fallback_conflict_aware"], bool):
-        raise InvalidConfig("fallback_conflict_aware", "must be true or false")
-    cfg = ScenarioConfig(
-        n_nodes=_json_number("n_nodes", fields["n_nodes"], int),
-        max_scheduled=_json_number("max_scheduled", fields["max_scheduled"], int),
-        buffer=_json_number("buffer", fields["buffer"], int),
-        steps=_json_number("steps", fields["steps"], int),
-        horizon=_json_number("horizon", fields["horizon"], int),
-        lambda_base=_json_numbers("lambda_base", fields["lambda_base"], float),
-        deadlines=tuple(
-            None if d is None else _json_number("deadlines", d, int)
-            for d in _json_list("deadlines", fields["deadlines"])
-        ),
-        conflict_graph=ConflictGraph.from_pairs(
-            _json_pair(pair) for pair in _json_list("conflict_graph", fields["conflict_graph"])
-        ),
-        burst_nodes=frozenset(_json_numbers("burst_nodes", fields["burst_nodes"], int)),
-        burst_probability=_json_number("burst_probability", fields["burst_probability"], float),
-        burst_amplitude_range=_json_numbers(
-            "burst_amplitude_range", fields["burst_amplitude_range"], float
-        ),
-        fallback_conflict_aware=fields["fallback_conflict_aware"],
-        base_seed=_json_number("base_seed", fields["base_seed"], int),
-    )
-    return validate_config(cfg)
+    parsed = {key: _JSON_PARSERS[key](key, value) for key, value in doc.items()}
+    return validate_config(ScenarioConfig(**parsed))

@@ -50,15 +50,23 @@ def slow_mind_select(
 
     Draining schedule S for `horizon` steps sends min(q_i, horizon) packets
     from each member, so the rollout score is the sum of those weights over
-    S and no trajectory is needed. index() finds the first maximum, so ties
-    keep the earliest schedule in enumeration order.
+    S and no trajectory is needed. Only a strictly higher score replaces the
+    best so far, so ties keep the earliest schedule in enumeration order.
     """
     if not feasible:
         return None
-    weight = [min(v, horizon) for v in q].__getitem__
-    scores = [sum(map(weight, s)) for s in feasible]
-    top = max(scores)
-    return feasible[scores.index(top)], top
+    # plain loops for the reason given in icn.enumerate_feasible
+    weight = []
+    for v in q:
+        weight.append(min(v, horizon))
+    best, top = feasible[0], -1
+    for schedule in feasible:
+        score = 0
+        for i in schedule:
+            score += weight[i]
+        if score > top:
+            best, top = schedule, score
+    return best, top
 
 
 def fast_mind_select(
@@ -75,8 +83,12 @@ def fast_mind_select(
     variant greedily skips nodes that clash with an earlier pick or have
     zero urgency and may return fewer than k.
     """
-    urgency = [q[i] * (2 if deadlines[i] is not None else 1) for i in range(len(q))]
-    order = sorted(range(len(q)), key=lambda i: (-urgency[i], i))
+    # loops and no closures, for the reason given in icn.enumerate_feasible
+    urgency = []
+    for n, limit in zip(q, deadlines):
+        urgency.append(2 * n if limit is not None else n)
+    # sorted() is stable, so equal urgencies keep ascending node order
+    order = sorted(range(len(q)), key=[-u for u in urgency].__getitem__)
     if not conflict_aware:
         return tuple(sorted(order[:k]))
     chosen: list[int] = []
@@ -85,9 +97,11 @@ def fast_mind_select(
             break
         if urgency[i] == 0:
             continue
-        if any(conflicts.contains(i, j) for j in chosen):
-            continue
-        chosen.append(i)
+        for j in chosen:
+            if conflicts.contains(i, j):
+                break
+        else:
+            chosen.append(i)
     return tuple(sorted(chosen))
 
 

@@ -2,10 +2,12 @@
 
 The experiment grid is (scenario x policy x run). Traffic streams are keyed
 by (base_seed, run_index) only, so with paired traffic (the default) every
-policy faces identical arrival sequences run for run; an unpaired mode
-salts the key with the policy name for fully independent runs. The whole
-campaign is a pure function of its seeds: rerunning it reproduces every
-record bit for bit, sequentially or across worker processes.
+policy faces identical arrival sequences run for run, and run_experiment
+draws each (scenario, run)'s arrivals once and plays every policy on them;
+an unpaired mode salts the key with the policy name for fully independent
+runs. The whole campaign is a pure function of its seeds: rerunning it
+reproduces every record bit for bit, sequentially or across worker
+processes.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .dmwm import DecisionRecord, DmwmScheduler
 from .traffic import policy_stream, traffic_streams
 from .twin import (
     RunMetrics,
+    draw_arrivals,
     imagined_next,
     metrics,
     observe,
@@ -94,15 +97,27 @@ def run_episode(
     decide() calls. Each slot also logs the one-step prediction of the
     drain-only model against the realised next queue state.
     """
+    rows = draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index, traffic_salt))
+    return _play(cfg, policy, run_index, scenario, traffic_salt, rows)
+
+
+def _play(
+    cfg: ScenarioConfig,
+    policy,
+    run_index: int,
+    scenario: str,
+    traffic_salt: int,
+    rows: Sequence[Sequence[int]],
+) -> RunRecord:
+    """run_episode on arrival rows already drawn from the run's traffic streams."""
     state = reset(cfg)
-    streams = traffic_streams(cfg.base_seed, run_index, traffic_salt)
     rng = policy_stream(cfg.base_seed, run_index, traffic_salt)
     update = getattr(policy, "update", None)
     obs = observe(state)
-    for _ in range(cfg.steps):
+    for counts in rows:
         schedule = policy.decide(obs, rng)
         imagined = imagined_next(obs.q, schedule)
-        outcome = step(state, schedule, streams)
+        outcome = step(state, schedule, counts)
         obs = observe(state)
         record_model_error(state, imagined, obs.q)
         if update is not None:
@@ -130,10 +145,21 @@ def _policy_salt(name: str) -> int:
     return zlib.crc32(name.encode("ascii"))
 
 
-def _episode_job(job: tuple[str, ScenarioConfig, str, int, int]) -> RunRecord:
-    scenario, cfg, policy_name, run_index, salt = job
-    policy = make_policy(policy_name, cfg)
-    return run_episode(cfg, policy, run_index, scenario=scenario, traffic_salt=salt)
+def _run_job(job: tuple[str, ScenarioConfig, Sequence[str], int, bool]) -> list[RunRecord]:
+    """One (scenario, run): every policy's episode, in policy order.
+
+    Paired, the run's arrival rows are drawn once and every policy plays on
+    them; unpaired, each policy draws its own rows from its salted streams.
+    """
+    scenario, cfg, policy_names, run_index, paired = job
+    if paired:
+        shared = draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index))
+    records = []
+    for name in policy_names:
+        salt = 0 if paired else _policy_salt(name)
+        rows = shared if paired else draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index, salt))
+        records.append(_play(cfg, make_policy(name, cfg), run_index, scenario, salt, rows))
+    return records
 
 
 def run_experiment(
@@ -155,16 +181,20 @@ def run_experiment(
     if workers < 1:
         raise ValueError("need at least one worker")
     resolved = [(item, builtin_scenario(item)) if isinstance(item, str) else item for item in scenarios]
-    jobs = [
-        (name, cfg, policy_name, run_index, 0 if paired else _policy_salt(policy_name))
-        for name, cfg in resolved
-        for policy_name in policies
-        for run_index in range(runs)
-    ]
+    policies = tuple(policies)
+    jobs = [(name, cfg, policies, run_index, paired) for name, cfg in resolved for run_index in range(runs)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_episode_job, jobs, chunksize=max(1, len(jobs) // (workers * 4))))
-    return [_episode_job(job) for job in jobs]
+            done = list(pool.map(_run_job, jobs, chunksize=max(1, len(jobs) // (workers * 4))))
+    else:
+        done = [_run_job(job) for job in jobs]
+    # done holds one list per (scenario, run), in policy order
+    return [
+        done[s * runs + run_index][p]
+        for s in range(len(resolved))
+        for p in range(len(policies))
+        for run_index in range(runs)
+    ]
 
 
 @dataclass(frozen=True)

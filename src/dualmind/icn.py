@@ -54,11 +54,19 @@ def enumerate_feasible(
     icn_check's pairwise rule. An empty result means no full-size schedule
     is feasible and the caller falls back to the reactive rule.
     """
-    eligible = [
-        i
-        for i in range(n_nodes)
-        if q[i] > 0
-        and (deadlines[i] is None or oldest_age[i] is None or oldest_age[i] <= deadlines[i])
-    ]
+    # Plain loops, not comprehensions: on CPython 3.11 each comprehension
+    # call allocates a function object, plus a cell for every enclosing
+    # local it reads. Both are objects the cyclic garbage collector tracks,
+    # and the fewer a decision allocates, the less often a collection pause
+    # lands inside it.
+    eligible = []
+    for i in range(n_nodes):
+        limit, age = deadlines[i], oldest_age[i]
+        if q[i] > 0 and (limit is None or age is None or age <= limit):
+            eligible.append(i)
     pairs = conflicts.pairs
-    return [c for c in combinations(eligible, k) if pairs.isdisjoint(combinations(c, 2))]
+    feasible = []
+    for c in combinations(eligible, k):
+        if pairs.isdisjoint(combinations(c, 2)):
+            feasible.append(c)
+    return feasible

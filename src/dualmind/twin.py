@@ -3,7 +3,9 @@
 One TwinState owns one run. A step executes purge, service, arrivals and
 accounting in that fixed order, so the observation a scheduler acts on is
 always the queue state before the current slot's purge and arrivals; a
-packet can never be served in the slot it arrives.
+packet can never be served in the slot it arrives. The arrivals come in
+as the slot's per-node counts: draw_arrivals draws every slot's counts of
+a run up front, so policies sharing a run's traffic can share the rows.
 """
 
 from __future__ import annotations
@@ -94,16 +96,26 @@ def reset(cfg: ScenarioConfig) -> TwinState:
 
 def observe(state: TwinState) -> Observation:
     """Queue lengths and head ages as the scheduler sees them at the current slot."""
-    q = tuple(len(queue) for queue in state.queues)
-    ages = tuple(state.t - queue[0] if queue else None for queue in state.queues)
+    # Built from lists, so each tuple is allocated at its final size and can
+    # reuse a freed one. A tuple built from a generator is allocated afresh
+    # at a guessed size, which adds to the cyclic collector's allocation
+    # count on every slot and makes its collections run more often.
+    q = tuple([len(queue) for queue in state.queues])
+    ages = tuple([state.t - queue[0] if queue else None for queue in state.queues])
     return Observation(q=q, oldest_age=ages, t=state.t)
 
 
-def step(state: TwinState, schedule: Sequence[int], streams: TrafficStreams) -> StepOutcome:
+def draw_arrivals(cfg: ScenarioConfig, streams: TrafficStreams) -> list[tuple[int, ...]]:
+    """Every slot's per-node arrival counts for one run, slot 0 first."""
+    return [generate_arrivals(cfg, t, streams) for t in range(cfg.steps)]
+
+
+def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> StepOutcome:
     """Advance one slot: purge expired packets, serve the schedule, inject arrivals, record.
 
-    schedule holds distinct node ids. Service is one packet per scheduled
-    node; a scheduled node with an empty queue wastes its slot.
+    schedule holds distinct node ids; counts holds the slot's arrivals per
+    node, as a row of draw_arrivals does. Service is one packet per
+    scheduled node; a scheduled node with an empty queue wastes its slot.
     """
     cfg = state.cfg
     t = state.t
@@ -115,6 +127,8 @@ def step(state: TwinState, schedule: Sequence[int], streams: TrafficStreams) -> 
         raise ValueError("schedule names an unknown node")
     if len(set(schedule)) != len(schedule):
         raise ValueError("schedule names a node twice")
+    if len(counts) != cfg.n_nodes:
+        raise ValueError("need one arrival count per node")
     queues = state.queues
 
     # 1) deadline purge: expired packets leave the queue and count as violations
@@ -139,7 +153,6 @@ def step(state: TwinState, schedule: Sequence[int], streams: TrafficStreams) -> 
     state.total_delay += sum(delays)
 
     # 3) arrivals: enqueue up to the buffer bound, count overflow as drops
-    counts = generate_arrivals(cfg, t, streams)
     new_drops = 0
     for i, count in enumerate(counts):
         state.arrivals_by_node[i] += count

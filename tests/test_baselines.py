@@ -1,7 +1,6 @@
 """Baseline policies: selection rules, round-robin memory, Q-table mechanics."""
 
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest

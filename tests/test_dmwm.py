@@ -1,7 +1,6 @@
 """Dual-mind scheduler: rollouts, closed-form argmax selection, fallback, decision records."""
 
 import numpy as np
-import pytest
 
 from dualmind.core import ConflictGraph, Provenance, builtin_scenario
 from dualmind.dmwm import (
@@ -106,6 +105,33 @@ def test_fast_mind_conflict_aware_skips():
 def test_fast_mind_conflict_aware_skips_idle_nodes():
     picked = fast_mind_select((4, 0, 2), (None,) * 3, 3, ConflictGraph(), conflict_aware=True)
     assert picked == (0, 2)
+
+
+def _fast_mind_oracle(q, deadlines, k, conflicts, conflict_aware):
+    """fast_mind_select as a sort on the (-urgency, id) key and a greedy scan."""
+    urgency = [q[i] * (2 if deadlines[i] is not None else 1) for i in range(len(q))]
+    order = sorted(range(len(q)), key=lambda i: (-urgency[i], i))
+    if not conflict_aware:
+        return tuple(sorted(order[:k]))
+    chosen = []
+    for i in order:
+        if len(chosen) < k and urgency[i] > 0 and not any(conflicts.contains(i, j) for j in chosen):
+            chosen.append(i)
+    return tuple(sorted(chosen))
+
+
+def test_fast_mind_matches_sort_key_oracle_on_random_states():
+    rng = np.random.default_rng(777)
+    for _ in range(3000):
+        n = int(rng.integers(1, 10))
+        k = int(rng.integers(1, n + 1))
+        q = tuple(int(rng.integers(0, 5)) for _ in range(n))  # small range: many urgency ties
+        deadlines = tuple(int(rng.integers(1, 9)) if rng.random() < 0.5 else None for _ in range(n))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        graph = ConflictGraph.from_pairs(pairs)
+        for aware in (False, True):
+            expected = _fast_mind_oracle(q, deadlines, k, graph, aware)
+            assert fast_mind_select(q, deadlines, k, graph, conflict_aware=aware) == expected
 
 
 def _obs(q, ages=None, t=0):

@@ -1,6 +1,6 @@
 """Campaign mechanics: determinism, traffic pairing, aggregation, parallel equality."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from dualmind.harness import (
     POLICY_NAMES,
     RUN_COLUMNS,
     SUMMARY_COLUMNS,
+    _policy_salt,
     aggregate,
     make_policy,
     run_episode,
@@ -21,11 +22,15 @@ from helpers import builtin_entries, make_cfg
 
 def _records_equal(a, b):
     return (
-        a.metrics == b.metrics
-        and a.arrivals == b.arrivals
+        (a.scenario, a.policy, a.run_index) == (b.scenario, b.policy, b.run_index)
+        and a.metrics == b.metrics
+        and (a.arrivals, a.delivered, a.final_backlog) == (b.arrivals, b.delivered, b.final_backlog)
+        and np.array_equal(a.arrivals_by_node, b.arrivals_by_node)
+        and np.array_equal(a.drops_by_node, b.drops_by_node)
         and np.array_equal(a.queue_lengths, b.queue_lengths)
         and np.array_equal(a.schedule_matrix, b.schedule_matrix)
         and np.array_equal(a.model_error_matrix, b.model_error_matrix)
+        and a.decision_trace == b.decision_trace
     )
 
 
@@ -54,13 +59,18 @@ def test_conservation_identity_mini_grid():
 
 
 def test_record_ordering():
-    records = run_experiment(
-        scenarios=builtin_entries(("bursty", "default"), steps=30), policies=("lqf", "random"), runs=2
-    )
-    keys = [(r.scenario, r.policy, r.run_index) for r in records]
-    assert keys == [
-        (s, p, r) for s in ("bursty", "default") for p in ("lqf", "random") for r in range(2)
-    ]
+    # unequal grid sides, so a scenario, policy or run index read from the
+    # wrong position shows up as a wrong key
+    policies = ("lqf", "random", "dmwm")
+    expected = [(s, p, r) for s in ("bursty", "default") for p in policies for r in range(3)]
+    for workers in (1, 2):
+        records = run_experiment(
+            scenarios=builtin_entries(("bursty", "default"), steps=30),
+            policies=policies,
+            runs=3,
+            workers=workers,
+        )
+        assert [(r.scenario, r.policy, r.run_index) for r in records] == expected, workers
 
 
 def test_paired_traffic_identical_across_policies():
@@ -73,6 +83,20 @@ def test_paired_traffic_identical_across_policies():
         b = by[("lqf", run_index)]
         assert a.arrivals == b.arrivals
         assert np.array_equal(a.arrivals_by_node, b.arrivals_by_node)
+
+
+@pytest.mark.parametrize("paired", [True, False])
+def test_experiment_records_equal_single_episodes(paired):
+    # run_experiment shares a run's arrivals across policies when paired; each
+    # record must still be the episode run_episode plays on its own
+    cfg = replace(builtin_scenario("bursty"), steps=60)
+    records = run_experiment(scenarios=[("bursty", cfg)], runs=2, paired=paired)
+    assert len(records) == len(POLICY_NAMES) * 2
+    for rec in records:
+        salt = 0 if paired else _policy_salt(rec.policy)
+        policy = make_policy(rec.policy, cfg)
+        alone = run_episode(cfg, policy, rec.run_index, scenario="bursty", traffic_salt=salt)
+        assert _records_equal(rec, alone), (rec.policy, rec.run_index)
 
 
 def test_unpaired_traffic_differs():
@@ -152,13 +176,13 @@ def test_only_dmwm_carries_a_decision_trace():
 
 
 def test_parallel_workers_match_sequential():
-    entries = builtin_entries(("default",), steps=40)
-    sequential = run_experiment(scenarios=entries, policies=("dmwm", "qlearn"), runs=2)
-    parallel = run_experiment(scenarios=entries, policies=("dmwm", "qlearn"), runs=2, workers=2)
-    assert len(sequential) == len(parallel)
-    for a, b in zip(sequential, parallel):
-        assert (a.scenario, a.policy, a.run_index) == (b.scenario, b.policy, b.run_index)
-        assert _records_equal(a, b)
+    entries = builtin_entries(("default", "bursty"), steps=40)
+    for paired in (True, False):
+        sequential = run_experiment(scenarios=entries, runs=3, paired=paired)
+        parallel = run_experiment(scenarios=entries, runs=3, paired=paired, workers=2)
+        assert len(sequential) == len(parallel) == 2 * len(POLICY_NAMES) * 3
+        for a, b in zip(sequential, parallel):
+            assert _records_equal(a, b), (paired, a.scenario, a.policy, a.run_index)
 
 
 def test_unknown_policy_rejected():

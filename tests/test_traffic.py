@@ -7,76 +7,85 @@ import numpy as np
 import pytest
 
 from dualmind.core import BUILTIN_SCENARIOS, builtin_scenario
+from dualmind.harness import _policy_salt
 from dualmind.traffic import (
+    ARRIVAL_STREAM,
+    BURST_STREAM,
+    UNIFORM_BLOCK,
     arrival_rate,
     generate_arrivals,
     make_rng,
     sample_poisson,
     traffic_streams,
 )
+from dualmind.twin import draw_arrivals
 from helpers import GOLDEN_SHA256, make_cfg
 
 
 def test_rate_at_zero_phase():
     cfg = make_cfg(lam=0.5)
-    rng = make_rng(0)
-    assert arrival_rate(cfg, 0, 0, rng) == pytest.approx(0.5)
-    assert arrival_rate(cfg, 0, 25, rng) == pytest.approx(0.5)
+    draw = make_rng(0).random
+    assert arrival_rate(cfg, 0, 0, draw) == pytest.approx(0.5)
+    assert arrival_rate(cfg, 0, 25, draw) == pytest.approx(0.5)
 
 
 def test_rate_mid_cycle_value():
     # evaluate the closed form at t=13 independently of the implementation
     expected = 0.8 * (1.0 + 0.75 * math.sin(2.0 * math.pi * 13 / 50))
     assert expected == pytest.approx(1.398816, abs=1e-6)
-    got = arrival_rate(make_cfg(lam=0.8), 0, 13, make_rng(0))
+    got = arrival_rate(make_cfg(lam=0.8), 0, 13, make_rng(0).random)
     assert got == pytest.approx(expected)
 
 
 def test_rate_never_negative_over_full_cycle():
     cfg = make_cfg(lam=0.6)
-    rng = make_rng(1)
+    draw = make_rng(1).random
     cfg_burst = make_cfg(
         lam=0.9, burst_nodes=(0,), burst_probability=1.0, burst_amplitude_range=(0.0, 4.0)
     )
     for t in range(100):
-        assert arrival_rate(cfg_burst, 0, t, rng) >= 0.0
-        assert arrival_rate(cfg, 0, t, rng) >= 0.0
+        assert arrival_rate(cfg_burst, 0, t, draw) >= 0.0
+        assert arrival_rate(cfg, 0, t, draw) >= 0.0
 
 
 def test_burst_spike_bounds_when_gate_always_fires():
     cfg = make_cfg(
         lam=0.5, burst_nodes=(0,), burst_probability=1.0, burst_amplitude_range=(2.0, 5.0)
     )
-    rng = make_rng(7)
     base = 0.5 * (1.0 + 0.75 * math.sin(0.0))
-    rate = arrival_rate(cfg, 0, 0, rng)
+    rate = arrival_rate(cfg, 0, 0, make_rng(7).random)
     assert base + 2.0 <= rate <= base + 5.0
 
 
 def test_non_burst_node_consumes_no_draws():
     # node 0 is not a burst node, even though node 1's gate always fires
     cfg = make_cfg(lam=0.5, burst_nodes=(1,), burst_probability=1.0)
-    rng_a = make_rng(11)
-    rng_b = make_rng(11)
-    arrival_rate(cfg, 0, 3, rng_a)
-    # identical next draws prove the call above touched nothing
-    assert rng_a.random() == rng_b.random()
+    calls = []
+
+    def draw():
+        calls.append(None)
+        return 0.5
+
+    arrival_rate(cfg, 0, 3, draw)
+    assert calls == []
+    arrival_rate(cfg, 1, 3, draw)  # the burst node draws its gate and its amplitude
+    assert len(calls) == 2
 
 
 def test_poisson_zero_rate():
-    assert sample_poisson(make_rng(0), 0.0) == 0
+    assert sample_poisson(make_rng(0).random, 0.0) == 0
 
 
 def test_poisson_moments_rate_half():
-    rng = make_rng(123)
-    draws = np.array([sample_poisson(rng, 0.5) for _ in range(100_000)])
+    draw = make_rng(123).random
+    draws = np.array([sample_poisson(draw, 0.5) for _ in range(100_000)])
     assert 0.485 <= draws.var(ddof=1) <= 0.515
     assert abs(draws.mean() - 0.5) < 0.01
 
 
 def test_poisson_determinism():
-    a = [sample_poisson(make_rng(5, i), 1.3) for i in range(50)]
-    b = [sample_poisson(make_rng(5, i), 1.3) for i in range(50)]
+    a = [sample_poisson(make_rng(5, i).random, 1.3) for i in range(50)]
+    b = [sample_poisson(make_rng(5, i).random, 1.3) for i in range(50)]
     assert a == b
 
 
@@ -101,13 +110,69 @@ def test_arrivals_match_golden(name):
     # one line of space-separated per-node counts per slot
     cfg = builtin_scenario(name)
     assert cfg.base_seed == 42
-    streams = traffic_streams(cfg.base_seed, 0)
-    text = "".join(
-        " ".join(str(c) for c in generate_arrivals(cfg, t, streams)) + "\n"
-        for t in range(cfg.steps)
-    )
+    rows = draw_arrivals(cfg, traffic_streams(cfg.base_seed, 0))
+    assert len(rows) == cfg.steps
+    text = "".join(" ".join(str(c) for c in row) + "\n" for row in rows)
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     assert digest == GOLDEN_SHA256["generate_arrivals seed 42 run 0"][name]
+
+
+def _scalar_arrivals(cfg, run_index, salt):
+    """Oracle: the sampler with one numpy call per uniform (Generator.random,
+    and Generator.uniform for a burst amplitude).
+
+    Returns the rows and the number of uniforms taken from each stream.
+    """
+    arrivals = make_rng(cfg.base_seed, run_index, ARRIVAL_STREAM, salt)
+    bursts = make_rng(cfg.base_seed, run_index, BURST_STREAM, salt)
+    arrival_draws = burst_draws = 0
+    rows = []
+    for t in range(cfg.steps):
+        row = []
+        for i in range(cfg.n_nodes):
+            rate = cfg.lambda_base[i] * (1.0 + 0.75 * math.sin(2.0 * math.pi * t / 50.0))
+            if i in cfg.burst_nodes and cfg.burst_probability > 0.0:
+                burst_draws += 1
+                if bursts.random() < cfg.burst_probability:
+                    burst_draws += 1
+                    rate += float(bursts.uniform(*cfg.burst_amplitude_range))
+            count = 0
+            if rate > 0.0:
+                threshold = math.exp(-rate)
+                product = arrivals.random()
+                arrival_draws += 1
+                while product > threshold:
+                    count += 1
+                    product *= arrivals.random()
+                    arrival_draws += 1
+            row.append(count)
+        rows.append(tuple(row))
+    return rows, arrival_draws, burst_draws
+
+
+@pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+def test_block_draws_match_scalar_oracle(name):
+    cfg = builtin_scenario(name)
+    for salt in (0, _policy_salt("dmwm")):
+        for run_index in range(30):
+            expected, _, _ = _scalar_arrivals(cfg, run_index, salt)
+            assert draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index, salt)) == expected
+
+
+def test_block_draws_match_scalar_oracle_across_block_edges():
+    # every node bursts in every slot on top of a high base rate, so both
+    # streams use up several blocks within the run
+    cfg = make_cfg(
+        steps=500,
+        lambda_base=(5.5, 6.0, 7.0, 8.0, 9.0),
+        burst_nodes=range(5),
+        burst_probability=1.0,
+        burst_amplitude_range=(2.0, 5.0),
+    )
+    for run_index in range(3):
+        expected, arrival_draws, burst_draws = _scalar_arrivals(cfg, run_index, 0)
+        assert arrival_draws > 3 * UNIFORM_BLOCK and burst_draws > UNIFORM_BLOCK
+        assert draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index)) == expected
 
 
 def _empirical_means(cfg, runs):
