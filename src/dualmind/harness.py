@@ -128,11 +128,11 @@ def _play(
         policy=getattr(policy, "name", type(policy).__name__),
         run_index=run_index,
         metrics=metrics(state),
-        arrivals=int(state.arrivals_by_node.sum()),
+        arrivals=sum(state.arrivals_by_node),
         delivered=state.delivered,
         final_backlog=sum(len(queue) for queue in state.queues),
-        arrivals_by_node=state.arrivals_by_node,
-        drops_by_node=state.drops_by_node,
+        arrivals_by_node=np.array(state.arrivals_by_node, dtype=np.int64),
+        drops_by_node=np.array(state.drops_by_node, dtype=np.int64),
         queue_lengths=state.queue_length_timeseries,
         schedule_matrix=state.schedule_matrix,
         model_error_matrix=state.model_error_matrix,
@@ -298,8 +298,8 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["slot"] + [f"node{i}" for i in range(matrix.shape[1])])
-        for t, row in enumerate(matrix):
-            writer.writerow([t] + [int(v) for v in row])
+        for t, row in enumerate(matrix.tolist()):
+            writer.writerow([t] + row)
 
 
 def write_decision_trace_csv(path, trace: Sequence[DecisionRecord]) -> None:

@@ -6,10 +6,15 @@ always the queue state before the current slot's purge and arrivals; a
 packet can never be served in the slot it arrives. The arrivals come in
 as the slot's per-node counts: draw_arrivals draws every slot's counts of
 a run up front, so policies sharing a run's traffic can share the rows.
+
+A step does no numpy work. Each run's per-slot records live in flat
+buffers of steps x nodes entries, filled slot by slot, and the numpy
+matrices are read from them, without a copy, once the run has ended.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
@@ -33,8 +38,7 @@ class Observation(NamedTuple):
     t: int
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """What one slot produced: the nodes served, their delays, and losses."""
 
     served: tuple[int, ...]
@@ -56,11 +60,14 @@ class RunMetrics:
 
 @dataclass
 class TwinState:
-    """All mutable state of one run: queues, counters, diagnostic matrices.
+    """All mutable state of one run: queues, counters, per-slot records.
 
     queues[i] holds one arrival slot per packet waiting at node i, oldest
     first. Static per-node facts (rate, deadline, burst membership) stay in
-    cfg, and run totals of arrivals and drops are sums of the per-node arrays.
+    cfg, and run totals of arrivals and drops are sums of the per-node lists.
+    The per-slot records are flat buffers with slot t's row at t * n_nodes;
+    the matrix properties read them as steps x nodes numpy arrays, with zero
+    rows for slots not yet run.
     """
 
     cfg: ScenarioConfig
@@ -69,16 +76,37 @@ class TwinState:
     delivered: int
     total_delay: int
     deadline_violations: int
-    arrivals_by_node: np.ndarray
-    drops_by_node: np.ndarray
-    queue_length_timeseries: np.ndarray  # steps x nodes, recorded after arrivals
-    schedule_matrix: np.ndarray  # steps x nodes, True where scheduled
-    model_error_matrix: np.ndarray  # steps x nodes, |predicted - actual| next lengths
+    arrivals_by_node: list[int]
+    drops_by_node: list[int]
+    lengths: array  # queue lengths after arrivals
+    scheduled: bytearray  # 1 where a node was scheduled
+    model_errors: array  # |predicted - actual| next lengths
+
+    @property
+    def queue_length_timeseries(self) -> np.ndarray:
+        return _matrix(self.cfg, self.lengths, np.int64)
+
+    @property
+    def schedule_matrix(self) -> np.ndarray:
+        return _matrix(self.cfg, self.scheduled, bool)
+
+    @property
+    def model_error_matrix(self) -> np.ndarray:
+        return _matrix(self.cfg, self.model_errors, np.int64)
+
+
+def _matrix(cfg: ScenarioConfig, buffer, dtype) -> np.ndarray:
+    """A steps x nodes view of one flat per-run buffer; it shares the buffer's memory.
+
+    One ndarray straight on the buffer: np.frombuffer(...).reshape(...) would
+    keep a memoryview and a second ndarray alive in every run record.
+    """
+    return np.ndarray((cfg.steps, cfg.n_nodes), dtype=dtype, buffer=buffer)
 
 
 def reset(cfg: ScenarioConfig) -> TwinState:
-    """Fresh run state: empty queues, zeroed counters, steps-by-nodes matrices."""
-    shape = (cfg.steps, cfg.n_nodes)
+    """Fresh run state: empty queues, zeroed counters, zero-filled per-slot buffers."""
+    cells = cfg.steps * cfg.n_nodes
     return TwinState(
         cfg=cfg,
         queues=[deque() for _ in range(cfg.n_nodes)],
@@ -86,11 +114,11 @@ def reset(cfg: ScenarioConfig) -> TwinState:
         delivered=0,
         total_delay=0,
         deadline_violations=0,
-        arrivals_by_node=np.zeros(cfg.n_nodes, dtype=np.int64),
-        drops_by_node=np.zeros(cfg.n_nodes, dtype=np.int64),
-        queue_length_timeseries=np.zeros(shape, dtype=np.int64),
-        schedule_matrix=np.zeros(shape, dtype=bool),
-        model_error_matrix=np.zeros(shape, dtype=np.int64),
+        arrivals_by_node=[0] * cfg.n_nodes,
+        drops_by_node=[0] * cfg.n_nodes,
+        lengths=array("q", [0]) * cells,
+        scheduled=bytearray(cells),
+        model_errors=array("q", [0]) * cells,
     )
 
 
@@ -116,19 +144,24 @@ def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> St
     schedule holds distinct node ids; counts holds the slot's arrivals per
     node, as a row of draw_arrivals does. Service is one packet per
     scheduled node; a scheduled node with an empty queue wastes its slot.
+    A rejected schedule or row leaves the state untouched.
     """
     cfg = state.cfg
     t = state.t
+    n = cfg.n_nodes
     if t >= cfg.steps:
         raise SimulationEnded(f"run is complete after {cfg.steps} slots")
     if len(schedule) > cfg.max_scheduled:
         raise ValueError("schedule exceeds the per-slot transmission budget")
-    if any(i < 0 or i >= cfg.n_nodes for i in schedule):
-        raise ValueError("schedule names an unknown node")
+    for i in schedule:
+        if i < 0 or i >= n:
+            raise ValueError("schedule names an unknown node")
     if len(set(schedule)) != len(schedule):
         raise ValueError("schedule names a node twice")
-    if len(counts) != cfg.n_nodes:
+    if len(counts) != n:
         raise ValueError("need one arrival count per node")
+    if min(counts) < 0:
+        raise ValueError("arrival counts cannot be negative")
     queues = state.queues
 
     # 1) deadline purge: expired packets leave the queue and count as violations
@@ -152,29 +185,27 @@ def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> St
     state.delivered += len(served)
     state.total_delay += sum(delays)
 
-    # 3) arrivals: enqueue up to the buffer bound, count overflow as drops
+    # 3) arrivals: enqueue up to the buffer bound, count overflow as drops;
+    # 4) accounting: record the slot's lengths and schedule at row t
+    row = t * n
+    lengths = state.lengths
     new_drops = 0
     for i, count in enumerate(counts):
-        state.arrivals_by_node[i] += count
         queue = queues[i]
-        admitted = min(count, cfg.buffer - len(queue))
-        queue.extend(repeat(t, admitted))
-        overflow = count - admitted
-        new_drops += overflow
-        state.drops_by_node[i] += overflow
-
-    # 4) accounting, then advance the clock
-    state.queue_length_timeseries[t] = [len(queue) for queue in queues]
+        if count:
+            state.arrivals_by_node[i] += count
+            admitted = min(count, cfg.buffer - len(queue))
+            queue.extend(repeat(t, admitted))
+            if admitted < count:
+                new_drops += count - admitted
+                state.drops_by_node[i] += count - admitted
+        lengths[row + i] = len(queue)
+    flags = state.scheduled
     for i in schedule:
-        state.schedule_matrix[t, i] = True
+        flags[row + i] = 1
     state.t = t + 1
 
-    return StepOutcome(
-        served=tuple(served),
-        delivered_delays=tuple(delays),
-        new_violations=new_violations,
-        new_drops=new_drops,
-    )
+    return StepOutcome(tuple(served), tuple(delays), new_violations, new_drops)
 
 
 def imagined_next(q: Sequence[int], scheduled) -> tuple[int, ...]:
@@ -193,28 +224,35 @@ def record_model_error(
     state: TwinState, imagined: Sequence[int], actual_next: Sequence[int]
 ) -> None:
     """Store elementwise |imagined - actual| for the step that just executed."""
-    if state.t == 0:
+    t = state.t
+    if t == 0:
         raise ValueError("no step has executed yet")
-    state.model_error_matrix[state.t - 1] = [
-        abs(a - b) for a, b in zip(imagined, actual_next)
-    ]
+    n = state.cfg.n_nodes
+    if len(imagined) != n or len(actual_next) != n:
+        raise ValueError("need one predicted and one actual length per node")
+    errors = state.model_errors
+    row = (t - 1) * n
+    for i in range(n):
+        errors[row + i] = abs(imagined[i] - actual_next[i])
 
 
 def metrics(state: TwinState) -> RunMetrics:
     """Per-run metrics; meaningful once the run has consumed all its slots."""
+    cfg = state.cfg
     delivered = state.delivered
     return RunMetrics(
-        throughput=delivered / state.cfg.steps,
-        avg_queue=float(state.queue_length_timeseries.mean()),
+        throughput=delivered / cfg.steps,
+        # one exact integer sum and one rounding: numpy's float mean while the sum is below 2**53
+        avg_queue=sum(state.lengths) / (cfg.steps * cfg.n_nodes),
         avg_delay=state.total_delay / delivered if delivered else 0.0,
         violations=state.deadline_violations,
-        drops=int(state.drops_by_node.sum()),
+        drops=sum(state.drops_by_node),
     )
 
 
 def conservation_gap(state: TwinState) -> int:
     """Arrivals minus every accounted outcome; zero on a consistent run."""
     backlog = sum(len(queue) for queue in state.queues)
-    return int(state.arrivals_by_node.sum()) - (
-        state.delivered + int(state.drops_by_node.sum()) + state.deadline_violations + backlog
+    return sum(state.arrivals_by_node) - (
+        state.delivered + sum(state.drops_by_node) + state.deadline_violations + backlog
     )

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The expensive full campaign (4 scenarios x 6 policies x 30 runs,
-seed 42, paired traffic) runs once per session and is shared by the
-criteria that consume it.
+seed 42, paired traffic) runs once per session, through the `campaign`
+command, and is shared by the criteria that consume it.
 """
 
 import time
@@ -14,12 +14,12 @@ import pytest
 
 from dualmind.baselines import QTable, q_select, q_update
 from dualmind.core import ConflictGraph, Provenance
-from dualmind.cli import main
-from dualmind.harness import POLICY_NAMES, aggregate, run_experiment
+from dualmind import cli
+from dualmind.harness import aggregate, run_experiment
 from dualmind.icn import enumerate_feasible
 from dualmind.dmwm import rollout, slow_mind_select
 from dualmind.traffic import make_rng, sample_poisson
-from helpers import GOLDEN_SHA256, builtin_entries, make_cfg, sha256_of
+from helpers import GOLDEN_SHA256, make_cfg, sha256_of
 
 
 def _report(criterion, detail):
@@ -27,13 +27,22 @@ def _report(criterion, detail):
 
 
 @pytest.fixture(scope="module")
-def campaign():
-    start = time.perf_counter()
-    records = run_experiment(
-        scenarios=builtin_entries(base_seed=42), policies=POLICY_NAMES, runs=30, paired=True
-    )
-    elapsed = time.perf_counter() - start
-    return records, aggregate(records), elapsed
+def campaign(tmp_path_factory):
+    """`dualmind campaign --seed 42`, run once, with the records it wrote captured."""
+    out = tmp_path_factory.mktemp("campaign")
+    captured = []
+
+    def recording_run_experiment(*args, **kwargs):
+        captured.append(run_experiment(*args, **kwargs))
+        return captured[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run_experiment", recording_run_experiment)
+        start = time.perf_counter()
+        assert cli.main(["campaign", "--seed", "42", "--out", str(out)]) == 0
+        elapsed = time.perf_counter() - start
+    (records,) = captured
+    return records, aggregate(records), elapsed, out
 
 
 def _brute_feasible(n, k, q, ages, deadlines, raw_pairs):
@@ -140,7 +149,7 @@ def test_c03_rollout_hand_check():
 
 
 def test_c04_conservation_over_full_campaign(campaign):
-    records, _, _ = campaign
+    records, _, _, _ = campaign
     assert len(records) == 720
     for rec in records:
         m = rec.metrics
@@ -151,7 +160,7 @@ def test_c04_conservation_over_full_campaign(campaign):
 
 
 def test_c05_interference_safety(campaign):
-    records, _, _ = campaign
+    records, _, _, _ = campaign
     graph = ConflictGraph.from_pairs([(0, 1), (2, 3)])
     planned_slots = 0
     for rec in records:
@@ -170,11 +179,11 @@ def test_c05_interference_safety(campaign):
     _report("C5", f"{planned_slots} planned slots over 30 runs, zero conflicting pairs")
 
 
-def test_c06_campaign_determinism(tmp_path):
-    assert main(["campaign", "--seed", "42", "--out", str(tmp_path)]) == 0
+def test_c06_campaign_determinism(campaign):
+    _, _, _, out = campaign
     golden = GOLDEN_SHA256["campaign --seed 42"]
     for name, digest in golden.items():
-        assert sha256_of(tmp_path / name) == digest, name
+        assert sha256_of(out / name) == digest, name
     _report("C6", "the seed-42 campaign's runs.csv and summaries match the golden hashes")
 
 
@@ -211,7 +220,7 @@ def test_c08_model_error_tracks_admitted_arrivals():
 
 
 def test_c09_directional_performance(campaign):
-    _, aggs, _ = campaign
+    _, aggs, _, _ = campaign
     by = {(a.scenario, a.policy): a for a in aggs}
     thr_gap_default = by[("default", "dmwm")].throughput_mean - by[("default", "random")].throughput_mean
     viol_gap = by[("deadline", "lqf")].violations_mean - by[("deadline", "dmwm")].violations_mean
@@ -241,6 +250,6 @@ def test_c10_q_learning_toy_convergence():
 
 
 def test_c11_campaign_runtime_envelope(campaign):
-    _, _, elapsed = campaign
+    _, _, elapsed, _ = campaign
     assert elapsed < 60.0
     _report("C11", f"full 4x6x30 campaign finished in {elapsed:.1f}s (< 60s)")

@@ -1,10 +1,17 @@
 """Digital twin dynamics: step order, purge, overflow, accounting identities."""
 
+from collections import deque
+from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 import pytest
 
-from dualmind.core import builtin_scenario
+from dualmind.core import ScenarioConfig, builtin_scenario
 from dualmind.twin import (
+    RunMetrics,
     SimulationEnded,
+    StepOutcome,
     conservation_gap,
     draw_arrivals,
     imagined_next,
@@ -32,7 +39,7 @@ def test_reset_empty_and_sized():
     assert all(len(queue) == 0 for queue in state.queues)
     total = (
         state.delivered + state.total_delay + state.deadline_violations
-        + state.drops_by_node.sum() + state.arrivals_by_node.sum()
+        + sum(state.drops_by_node) + sum(state.arrivals_by_node)
     )
     assert total == 0
     assert state.queue_length_timeseries.shape == (200, 5)
@@ -190,6 +197,16 @@ def test_record_model_error_needs_a_step():
         record_model_error(state, (0,) * 5, (0,) * 5)
 
 
+def test_record_model_error_needs_one_value_per_node():
+    state, quiet = _quiet_state()
+    step(state, (), quiet)
+    with pytest.raises(ValueError):
+        record_model_error(state, (0,) * 4, (0,) * 5)
+    with pytest.raises(ValueError):
+        record_model_error(state, (0,) * 5, (0,) * 6)
+    assert not state.model_error_matrix.any()
+
+
 def test_simulation_ended():
     state, quiet = _quiet_state(steps=1)
     step(state, (), quiet)
@@ -217,3 +234,170 @@ def test_oversized_or_alien_schedule_rejected():
     with pytest.raises(ValueError):
         step(state, (), (0, 0, 0, 0))  # one arrival count short
     assert state.t == 0  # a rejected schedule changes nothing
+
+
+def test_negative_arrival_count_rejected():
+    state = reset(make_cfg())
+    step(state, (0,), (2, 1, 0, 0, 0))
+
+    def snapshot():
+        return (
+            state.t,
+            [list(queue) for queue in state.queues],
+            list(state.arrivals_by_node),
+            list(state.drops_by_node),
+            state.delivered,
+            state.deadline_violations,
+            state.queue_length_timeseries.tolist(),
+            state.schedule_matrix.tolist(),
+        )
+
+    before = snapshot()
+    with pytest.raises(ValueError):
+        step(state, (0,), (-2, 0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        step(state, (), (0, 0, 0, 0, -1))
+    assert snapshot() == before
+    assert conservation_gap(state) == 0
+
+
+# The twin as it was when every slot wrote straight into numpy arrays: the
+# oracle for the flat per-run buffers and the matrices built from them.
+@dataclass
+class _OracleState:
+    cfg: ScenarioConfig
+    queues: list
+    t: int
+    delivered: int
+    total_delay: int
+    deadline_violations: int
+    arrivals_by_node: np.ndarray
+    drops_by_node: np.ndarray
+    queue_length_timeseries: np.ndarray
+    schedule_matrix: np.ndarray
+    model_error_matrix: np.ndarray
+
+
+def _oracle_reset(cfg):
+    shape = (cfg.steps, cfg.n_nodes)
+    return _OracleState(
+        cfg=cfg,
+        queues=[deque() for _ in range(cfg.n_nodes)],
+        t=0,
+        delivered=0,
+        total_delay=0,
+        deadline_violations=0,
+        arrivals_by_node=np.zeros(cfg.n_nodes, dtype=np.int64),
+        drops_by_node=np.zeros(cfg.n_nodes, dtype=np.int64),
+        queue_length_timeseries=np.zeros(shape, dtype=np.int64),
+        schedule_matrix=np.zeros(shape, dtype=bool),
+        model_error_matrix=np.zeros(shape, dtype=np.int64),
+    )
+
+
+def _oracle_step(state, schedule, counts):
+    cfg, t, queues = state.cfg, state.t, state.queues
+    new_violations = 0
+    for queue, limit in zip(queues, cfg.deadlines):
+        if limit is None:
+            continue
+        while queue and t - queue[0] > limit:
+            queue.popleft()
+            new_violations += 1
+    state.deadline_violations += new_violations
+    served, delays = [], []
+    for i in sorted(schedule):
+        queue = queues[i]
+        if queue:
+            served.append(i)
+            delays.append(t - queue.popleft())
+    state.delivered += len(served)
+    state.total_delay += sum(delays)
+    new_drops = 0
+    for i, count in enumerate(counts):
+        state.arrivals_by_node[i] += count
+        queue = queues[i]
+        admitted = min(count, cfg.buffer - len(queue))
+        queue.extend(repeat(t, admitted))
+        overflow = count - admitted
+        new_drops += overflow
+        state.drops_by_node[i] += overflow
+    state.queue_length_timeseries[t] = [len(queue) for queue in queues]
+    for i in schedule:
+        state.schedule_matrix[t, i] = True
+    state.t = t + 1
+    return StepOutcome(tuple(served), tuple(delays), new_violations, new_drops)
+
+
+def _oracle_record_model_error(state, imagined, actual_next):
+    state.model_error_matrix[state.t - 1] = [abs(a - b) for a, b in zip(imagined, actual_next)]
+
+
+def _oracle_metrics(state):
+    delivered = state.delivered
+    return RunMetrics(
+        throughput=delivered / state.cfg.steps,
+        avg_queue=float(state.queue_length_timeseries.mean()),
+        avg_delay=state.total_delay / delivered if delivered else 0.0,
+        violations=state.deadline_violations,
+        drops=int(state.drops_by_node.sum()),
+    )
+
+
+def _assert_same_state(state, oracle):
+    assert state.t == oracle.t
+    assert [list(queue) for queue in state.queues] == [list(queue) for queue in oracle.queues]
+    assert state.delivered == oracle.delivered
+    assert state.total_delay == oracle.total_delay
+    assert state.deadline_violations == oracle.deadline_violations
+    assert state.arrivals_by_node == oracle.arrivals_by_node.tolist()
+    assert state.drops_by_node == oracle.drops_by_node.tolist()
+    for name in ("queue_length_timeseries", "schedule_matrix", "model_error_matrix"):
+        got, want = getattr(state, name), getattr(oracle, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert np.array_equal(got, want), name
+    assert metrics(state) == _oracle_metrics(oracle)
+    assert conservation_gap(state) == 0
+
+
+def _random_cfg(rng, n_nodes):
+    return make_cfg(
+        n_nodes=n_nodes,
+        max_scheduled=int(rng.integers(1, n_nodes + 1)),
+        buffer=int(rng.integers(1, 6)) if rng.random() < 0.6 else 50,  # tight buffers overflow
+        steps=int(rng.integers(1, 40)),
+        lam=0.0,
+        deadlines=tuple(int(rng.integers(0, 6)) if rng.random() < 0.5 else None for _ in range(n_nodes)),
+    )
+
+
+def test_flat_buffers_match_numpy_oracle_on_random_runs():
+    rng = np.random.default_rng(20261018)
+    seen = dict(drops=0, violations=0, wasted=0, overwrites=0)
+    for trial in range(240):
+        cfg = _random_cfg(rng, n_nodes=1 + trial % 16)
+        n = cfg.n_nodes
+        state, oracle = reset(cfg), _oracle_reset(cfg)
+        _assert_same_state(state, oracle)  # reads before the first slot
+        rate = float(rng.uniform(0.0, 3.0))
+        for _ in range(cfg.steps):
+            obs = observe(state)
+            size = int(rng.integers(0, cfg.max_scheduled + 1))
+            schedule = tuple(sorted(int(i) for i in rng.choice(n, size=size, replace=False)))
+            counts = tuple(int(c) for c in rng.poisson(rate, n))
+            seen["wasted"] += sum(1 for i in schedule if obs.q[i] == 0)
+            outcome = step(state, schedule, counts)
+            assert outcome == _oracle_step(oracle, schedule, counts)
+            seen["drops"] += outcome.new_drops
+            seen["violations"] += outcome.new_violations
+            imagined = imagined_next(obs.q, schedule)
+            actual = observe(state).q
+            if rng.random() < 0.2:  # a later call overwrites the same row
+                wrong = tuple(int(v) for v in rng.integers(0, 9, n))
+                record_model_error(state, wrong, actual)
+                _oracle_record_model_error(oracle, wrong, actual)
+                seen["overwrites"] += 1
+            record_model_error(state, imagined, actual)
+            _oracle_record_model_error(oracle, imagined, actual)
+            _assert_same_state(state, oracle)  # reads mid-run see zero rows ahead
+    assert all(count > 0 for count in seen.values()), seen
