@@ -19,7 +19,6 @@ from .baselines import (
     QLearningPolicy,
     QTable,
     RandomPolicy,
-    RoundRobinMemory,
 )
 from .core import (
     BUILTIN_SCENARIOS,

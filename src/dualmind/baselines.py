@@ -23,9 +23,10 @@ Q_GAMMA = 0.95
 Q_EPSILON = 0.2
 
 
-def random_select(n_nodes: int, k: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """A uniformly random k-subset of nodes."""
-    subsets = list(combinations(range(n_nodes), k))
+def random_select(
+    subsets: Sequence[tuple[int, ...]], rng: np.random.Generator
+) -> tuple[int, ...]:
+    """A uniformly random member of subsets (a policy's k-subsets), picked with one integer draw."""
     return subsets[int(rng.integers(len(subsets)))]
 
 
@@ -60,21 +61,12 @@ def deadline_priority_select(
     return tuple(sorted(order[:k]))
 
 
-@dataclass
-class RoundRobinMemory:
-    """Most recent service slot per node; -1 marks never served."""
-
-    last_served: list[int]
-
-
-def fair_rr_select(
-    q: Sequence[int], memory: RoundRobinMemory, k: int, t: int
-) -> tuple[int, ...]:
+def fair_rr_select(q: Sequence[int], last: list[int], k: int, t: int) -> tuple[int, ...]:
     """Least-recently-served backlogged nodes first, padded with idle nodes.
 
-    Ties break by smaller node id. Updates the memory for the chosen nodes.
+    last holds each node's most recent service slot, -1 for never served.
+    Ties break by smaller node id. Sets last[i] = t for the chosen nodes.
     """
-    last = memory.last_served
     backlogged = sorted((i for i in range(len(q)) if q[i] > 0), key=lambda i: (last[i], i))
     chosen = backlogged[:k]
     if len(chosen) < k:
@@ -108,8 +100,6 @@ class QTable:
     """
 
     n_actions: int
-    alpha: float = Q_ALPHA
-    gamma: float = Q_GAMMA
     epsilon: float = Q_EPSILON
     entries: dict[tuple[int, ...], list[float]] = field(default_factory=dict)
 
@@ -137,18 +127,17 @@ def q_update(
     """One temporal-difference backup toward reward plus discounted best next value."""
     vals = table.entries.setdefault(key, [0.0] * table.n_actions)
     next_best = max(table.values(next_key))
-    vals[action] += table.alpha * (reward + table.gamma * next_best - vals[action])
+    vals[action] += Q_ALPHA * (reward + Q_GAMMA * next_best - vals[action])
 
 
 class RandomPolicy:
     name = "random"
 
     def __init__(self, cfg: ScenarioConfig):
-        self._n = cfg.n_nodes
-        self._k = cfg.max_scheduled
+        self._subsets = list(combinations(range(cfg.n_nodes), cfg.max_scheduled))
 
     def decide(self, obs, rng: np.random.Generator) -> tuple[int, ...]:
-        return random_select(self._n, self._k, rng)
+        return random_select(self._subsets, rng)
 
 
 class LqfPolicy:
@@ -177,10 +166,10 @@ class FairRoundRobinPolicy:
 
     def __init__(self, cfg: ScenarioConfig):
         self._k = cfg.max_scheduled
-        self.memory = RoundRobinMemory(last_served=[-1] * cfg.n_nodes)
+        self.last_served = [-1] * cfg.n_nodes
 
     def decide(self, obs, rng) -> tuple[int, ...]:
-        return fair_rr_select(obs.q, self.memory, self._k, obs.t)
+        return fair_rr_select(obs.q, self.last_served, self._k, obs.t)
 
 
 class QLearningPolicy:

@@ -201,23 +201,20 @@ def builtin_scenario(name: str) -> ScenarioConfig:
     return validate_config(cfg)
 
 
+def _json_value(value):
+    """A field value in its JSON form: tuples as lists, sets and conflict pairs sorted."""
+    if isinstance(value, ConflictGraph):
+        return [list(pair) for pair in value.sorted_pairs()]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """JSON-ready document mirroring the ScenarioConfig field names."""
-    return {
-        "n_nodes": cfg.n_nodes,
-        "max_scheduled": cfg.max_scheduled,
-        "buffer": cfg.buffer,
-        "steps": cfg.steps,
-        "horizon": cfg.horizon,
-        "lambda_base": list(cfg.lambda_base),
-        "deadlines": list(cfg.deadlines),
-        "conflict_graph": [list(pair) for pair in cfg.conflict_graph.sorted_pairs()],
-        "burst_nodes": sorted(cfg.burst_nodes),
-        "burst_probability": cfg.burst_probability,
-        "burst_amplitude_range": list(cfg.burst_amplitude_range),
-        "fallback_conflict_aware": cfg.fallback_conflict_aware,
-        "base_seed": cfg.base_seed,
-    }
+    return {f.name: _json_value(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
 
 
 def _json_number(field_name: str, value, kind: type):

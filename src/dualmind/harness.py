@@ -2,12 +2,13 @@
 
 The experiment grid is (scenario x policy x run). Traffic streams are keyed
 by (base_seed, run_index) only, so with paired traffic (the default) every
-policy faces identical arrival sequences run for run, and run_experiment
-draws each (scenario, run)'s arrivals once and plays every policy on them;
-an unpaired mode salts the key with the policy name for fully independent
-runs. The whole campaign is a pure function of its seeds: rerunning it
-reproduces every record bit for bit, sequentially or across worker
-processes.
+policy faces identical arrival sequences run for run. run_experiment plays
+every episode through run_episode, which keeps the last run's arrival rows,
+so the policies of one (scenario, run), played back to back, share one
+draw; an unpaired mode salts the key with the policy name for fully
+independent runs. The whole campaign is a pure function of its seeds:
+rerunning it reproduces every record bit for bit, sequentially or across
+worker processes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -67,21 +69,41 @@ def make_policy(name: str, cfg: ScenarioConfig):
 
 @dataclass
 class RunRecord:
-    """Everything one episode produced: metrics, counters, diagnostic matrices."""
+    """Everything one episode produced: metrics, counters, diagnostic matrices.
+
+    The run's arrival total and final backlog are read from the per-node
+    arrivals and the last row of queue lengths.
+    """
 
     scenario: str
     policy: str
     run_index: int
     metrics: RunMetrics
-    arrivals: int
     delivered: int
-    final_backlog: int
     arrivals_by_node: np.ndarray
     drops_by_node: np.ndarray
     queue_lengths: np.ndarray
     schedule_matrix: np.ndarray
     model_error_matrix: np.ndarray
     decision_trace: list[DecisionRecord] | None
+
+    @property
+    def arrivals(self) -> int:
+        return int(self.arrivals_by_node.sum())
+
+    @property
+    def final_backlog(self) -> int:
+        return int(self.queue_lengths[-1].sum())
+
+
+@lru_cache(maxsize=1)
+def _arrival_rows(cfg: ScenarioConfig, run_index: int, salt: int) -> tuple[tuple[int, ...], ...]:
+    """One run's arrival rows, kept for the next episode on the same traffic.
+
+    Paired policies play one (scenario, run) back to back with the same
+    key, so they share a single draw.
+    """
+    return tuple(draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index, salt)))
 
 
 def run_episode(
@@ -97,19 +119,7 @@ def run_episode(
     decide() calls. Each slot also logs the one-step prediction of the
     drain-only model against the realised next queue state.
     """
-    rows = draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index, traffic_salt))
-    return _play(cfg, policy, run_index, scenario, traffic_salt, rows)
-
-
-def _play(
-    cfg: ScenarioConfig,
-    policy,
-    run_index: int,
-    scenario: str,
-    traffic_salt: int,
-    rows: Sequence[Sequence[int]],
-) -> RunRecord:
-    """run_episode on arrival rows already drawn from the run's traffic streams."""
+    rows = _arrival_rows(cfg, run_index, traffic_salt)
     state = reset(cfg)
     rng = policy_stream(cfg.base_seed, run_index, traffic_salt)
     update = getattr(policy, "update", None)
@@ -128,9 +138,7 @@ def _play(
         policy=getattr(policy, "name", type(policy).__name__),
         run_index=run_index,
         metrics=metrics(state),
-        arrivals=sum(state.arrivals_by_node),
         delivered=state.delivered,
-        final_backlog=sum(len(queue) for queue in state.queues),
         arrivals_by_node=np.array(state.arrivals_by_node, dtype=np.int64),
         drops_by_node=np.array(state.drops_by_node, dtype=np.int64),
         queue_lengths=state.queue_length_timeseries,
@@ -148,18 +156,14 @@ def _policy_salt(name: str) -> int:
 def _run_job(job: tuple[str, ScenarioConfig, Sequence[str], int, bool]) -> list[RunRecord]:
     """One (scenario, run): every policy's episode, in policy order.
 
-    Paired, the run's arrival rows are drawn once and every policy plays on
-    them; unpaired, each policy draws its own rows from its salted streams.
+    Paired, every policy plays on the run's one shared draw; unpaired, each
+    policy's salt gives it its own.
     """
     scenario, cfg, policy_names, run_index, paired = job
-    if paired:
-        shared = draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index))
-    records = []
-    for name in policy_names:
-        salt = 0 if paired else _policy_salt(name)
-        rows = shared if paired else draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index, salt))
-        records.append(_play(cfg, make_policy(name, cfg), run_index, scenario, salt, rows))
-    return records
+    return [
+        run_episode(cfg, make_policy(name, cfg), run_index, scenario, 0 if paired else _policy_salt(name))
+        for name in policy_names
+    ]
 
 
 def run_experiment(

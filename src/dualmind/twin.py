@@ -142,9 +142,10 @@ def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> St
     """Advance one slot: purge expired packets, serve the schedule, inject arrivals, record.
 
     schedule holds distinct node ids; counts holds the slot's arrivals per
-    node, as a row of draw_arrivals does. Service is one packet per
-    scheduled node; a scheduled node with an empty queue wastes its slot.
-    A rejected schedule or row leaves the state untouched.
+    node as non-negative Python ints, as a row of draw_arrivals does.
+    Service is one packet per scheduled node; a scheduled node with an
+    empty queue wastes its slot. A rejected schedule or row leaves the
+    state untouched.
     """
     cfg = state.cfg
     t = state.t
@@ -160,8 +161,11 @@ def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> St
         raise ValueError("schedule names a node twice")
     if len(counts) != n:
         raise ValueError("need one arrival count per node")
-    if min(counts) < 0:
-        raise ValueError("arrival counts cannot be negative")
+    for count in counts:
+        if type(count) is not int:
+            raise ValueError("arrival counts must be integers")
+        if count < 0:
+            raise ValueError("arrival counts cannot be negative")
     queues = state.queues
 
     # 1) deadline purge: expired packets leave the queue and count as violations

@@ -1,6 +1,7 @@
 """Baseline policies: selection rules, round-robin memory, Q-table mechanics."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from dualmind.baselines import (
     QLearningPolicy,
     QTable,
     RandomPolicy,
-    RoundRobinMemory,
     deadline_priority_select,
     fair_rr_select,
     lqf_select,
@@ -29,16 +29,18 @@ from helpers import make_cfg
 
 def test_random_full_set_when_k_equals_n():
     rng = make_rng(1)
+    subsets = list(combinations(range(4), 4))
     for _ in range(20):
-        assert random_select(4, 4, rng) == (0, 1, 2, 3)
+        assert random_select(subsets, rng) == (0, 1, 2, 3)
 
 
 def test_random_uniform_over_subsets():
     rng = make_rng(404)
     n_draws = 100_000
     counts = {}
+    subsets = list(combinations(range(5), 3))
     for _ in range(n_draws):
-        pick = random_select(5, 3, rng)
+        pick = random_select(subsets, rng)
         counts[pick] = counts.get(pick, 0) + 1
     assert len(counts) == 10
     sigma = math.sqrt(0.1 * 0.9 / n_draws)
@@ -47,8 +49,9 @@ def test_random_uniform_over_subsets():
 
 
 def test_random_reproducible():
-    a = [random_select(5, 3, make_rng(9, i)) for i in range(30)]
-    b = [random_select(5, 3, make_rng(9, i)) for i in range(30)]
+    subsets = list(combinations(range(5), 3))
+    a = [random_select(subsets, make_rng(9, i)) for i in range(30)]
+    b = [random_select(subsets, make_rng(9, i)) for i in range(30)]
     assert a == b
 
 
@@ -82,34 +85,34 @@ def test_deadline_priority_degenerates_to_lqf():
 
 
 def test_fair_rr_initial_rotation():
-    memory = RoundRobinMemory(last_served=[-1] * 5)
+    last = [-1] * 5
     q = (1, 1, 1, 1, 1)
-    assert fair_rr_select(q, memory, 3, 0) == (0, 1, 2)
-    assert fair_rr_select(q, memory, 3, 1) == (0, 3, 4)
+    assert fair_rr_select(q, last, 3, 0) == (0, 1, 2)
+    assert fair_rr_select(q, last, 3, 1) == (0, 3, 4)
 
 
 def test_fair_rr_always_includes_sole_backlogged_node():
-    memory = RoundRobinMemory(last_served=[-1] * 5)
+    last = [-1] * 5
     for t in range(20):
-        picked = fair_rr_select((0, 0, 3, 0, 0), memory, 3, t)
+        picked = fair_rr_select((0, 0, 3, 0, 0), last, 3, t)
         assert 2 in picked
 
 
 def test_fair_rr_pads_with_idle_nodes():
-    memory = RoundRobinMemory(last_served=[-1] * 4)
-    picked = fair_rr_select((0, 5, 0, 0), memory, 3, 0)
+    last = [-1] * 4
+    picked = fair_rr_select((0, 5, 0, 0), last, 3, 0)
     assert picked == (0, 1, 2)
-    assert memory.last_served == [0, 0, 0, -1]
+    assert last == [0, 0, 0, -1]
 
 
 @pytest.mark.parametrize("n,k", [(5, 3), (7, 2), (4, 1)])
 def test_fair_rr_starvation_freedom(n, k):
-    memory = RoundRobinMemory(last_served=[-1] * n)
+    last = [-1] * n
     q = (1,) * n
     last_seen = [-1] * n
     bound = math.ceil(n / k)
     for t in range(30 * n):
-        for i in fair_rr_select(q, memory, k, t):
+        for i in fair_rr_select(q, last, k, t):
             if last_seen[i] >= 0:
                 assert t - last_seen[i] <= bound
             last_seen[i] = t

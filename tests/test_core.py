@@ -143,6 +143,29 @@ def test_json_round_trip_all_builtins():
         assert scenario_from_dict(doc) == cfg
 
 
+def test_json_form_of_each_field():
+    cfg = replace(
+        builtin_scenario("default"),
+        conflict_graph=ConflictGraph.from_pairs([(3, 2), (1, 0)]),
+        burst_nodes=frozenset({3, 1}),
+    )
+    assert scenario_to_dict(cfg) == {
+        "n_nodes": 5,
+        "max_scheduled": 3,
+        "buffer": 50,
+        "steps": 200,
+        "horizon": 3,
+        "lambda_base": [0.5, 0.625, 0.75, 0.875, 1.0],
+        "deadlines": [10, None, 10, None, 10],
+        "conflict_graph": [[0, 1], [2, 3]],
+        "burst_nodes": [1, 3],
+        "burst_probability": 0.05,
+        "burst_amplitude_range": [2.0, 5.0],
+        "fallback_conflict_aware": False,
+        "base_seed": 42,
+    }
+
+
 def test_json_removed_rollout_reward_mode_rejected():
     doc = scenario_to_dict(builtin_scenario("default"))
     doc["rollout_reward_mode"] = "served"

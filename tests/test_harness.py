@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from dualmind import harness, twin
 from dualmind.core import builtin_scenario
 from dualmind.harness import (
     POLICY_NAMES,
@@ -97,6 +98,38 @@ def test_experiment_records_equal_single_episodes(paired):
         policy = make_policy(rec.policy, cfg)
         alone = run_episode(cfg, policy, rec.run_index, scenario="bursty", traffic_salt=salt)
         assert _records_equal(rec, alone), (rec.policy, rec.run_index)
+
+
+@pytest.mark.parametrize("paired", [True, False])
+def test_every_episode_runs_through_run_episode(paired, monkeypatch):
+    # the benchmark's tracer times episodes and arrival draws by wrapping
+    # these two names, so run_experiment must reach every episode through
+    # the module-level run_episode and draw through twin.generate_arrivals
+    calls = {"run_episode": 0, "generate_arrivals": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(harness, "run_episode")
+    counted(twin, "generate_arrivals")
+    harness._arrival_rows.cache_clear()
+    steps = 20
+    records = run_experiment(
+        scenarios=builtin_entries(("bursty", "default"), steps=steps),
+        policies=("lqf", "random", "dmwm"),
+        runs=2,
+        paired=paired,
+        workers=1,
+    )
+    assert len(records) == calls["run_episode"] == 12
+    # paired: one draw per (scenario, run); unpaired: one per episode
+    assert calls["generate_arrivals"] == steps * (4 if paired else 12)
 
 
 def test_unpaired_traffic_differs():

@@ -237,6 +237,8 @@ def test_oversized_or_alien_schedule_rejected():
 
 
 def test_negative_arrival_count_rejected():
+    # also non-integer counts; node 0 has packets queued, so a half-applied
+    # step would serve it before failing on the row
     state = reset(make_cfg())
     step(state, (0,), (2, 1, 0, 0, 0))
 
@@ -247,6 +249,7 @@ def test_negative_arrival_count_rejected():
             list(state.arrivals_by_node),
             list(state.drops_by_node),
             state.delivered,
+            state.total_delay,
             state.deadline_violations,
             state.queue_length_timeseries.tolist(),
             state.schedule_matrix.tolist(),
@@ -257,6 +260,9 @@ def test_negative_arrival_count_rejected():
         step(state, (0,), (-2, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         step(state, (), (0, 0, 0, 0, -1))
+    for row in ((1.5, 0, 0, 0, 0), (1.0, 0, 0, 0, 0), (0, 0, True, 0, 0)):
+        with pytest.raises(ValueError, match="integers"):
+            step(state, (0,), row)
     assert snapshot() == before
     assert conservation_gap(state) == 0
 
