@@ -66,6 +66,7 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
 
 
 def _ensure_out(args: argparse.Namespace) -> Path:
+    """Create --out; callers run first, so a rejected run leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -78,7 +79,6 @@ def _run_and_write(
     metadata: dict,
 ):
     """Run the grid, then write runs.csv, summary.csv and summary.json into --out."""
-    out = _ensure_out(args)
     paired = not args.independent_traffic
     records = run_experiment(
         scenarios=scenarios,
@@ -88,6 +88,7 @@ def _run_and_write(
         workers=args.workers,
     )
     aggs = aggregate(records)
+    out = _ensure_out(args)
     write_runs_csv(out / "runs.csv", records)
     write_summary_csv(out / "summary.csv", aggs)
     write_summary_json(
@@ -136,9 +137,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     name, cfg = _resolve_scenario(args.scenario)
     cfg = _apply_overrides(cfg, args)
-    out = _ensure_out(args)
     policy = make_policy("dmwm", cfg)
     record = run_episode(cfg, policy, args.run_index, scenario=name)
+    out = _ensure_out(args)
     write_matrix_csv(out / "schedule.csv", record.schedule_matrix.astype(int))
     write_matrix_csv(out / "model_error.csv", record.model_error_matrix)
     write_matrix_csv(out / "queue_lengths.csv", record.queue_lengths)
@@ -165,36 +166,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one policy on one scenario")
-    run_p.add_argument("--scenario", default="default", help="builtin name or scenario JSON file")
-    run_p.add_argument("--policy", default="dmwm", choices=POLICY_NAMES)
-    run_p.add_argument("--runs", type=int, default=30)
-    run_p.add_argument("--steps", type=int, default=None, help="override slots per run")
-    run_p.add_argument("--seed", type=int, default=42)
-    run_p.add_argument("--horizon", type=int, default=None, help="override planning horizon")
-    run_p.add_argument("--out", default=_default_out(), help=f"output dir (or ${OUT_DIR_ENV})")
-    run_p.add_argument(
+    # flags shared by subcommands, each declared once
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=42)
+    seeded.add_argument("--out", default=_default_out(), help=f"output dir (or ${OUT_DIR_ENV})")
+    grid = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    grid.add_argument("--runs", type=int, default=30)
+    grid.add_argument("--steps", type=int, default=None, help="override slots per run")
+    grid.add_argument(
         "--independent-traffic",
         action="store_true",
         help="salt traffic seeds per policy instead of pairing them",
     )
-    run_p.add_argument("--workers", type=int, default=1)
+    grid.add_argument("--workers", type=int, default=1)
+
+    run_p = sub.add_parser("run", parents=[grid], help="run one policy on one scenario")
+    run_p.add_argument("--scenario", default="default", help="builtin name or scenario JSON file")
+    run_p.add_argument("--policy", default="dmwm", choices=POLICY_NAMES)
+    run_p.add_argument("--horizon", type=int, default=None, help="override planning horizon")
     run_p.set_defaults(func=cmd_run)
 
-    camp_p = sub.add_parser("campaign", help="run every builtin scenario against every policy")
-    camp_p.add_argument("--out", default=_default_out(), help=f"output dir (or ${OUT_DIR_ENV})")
-    camp_p.add_argument("--seed", type=int, default=42)
-    camp_p.add_argument("--runs", type=int, default=30)
-    camp_p.add_argument("--steps", type=int, default=None)
-    camp_p.add_argument("--independent-traffic", action="store_true")
-    camp_p.add_argument("--workers", type=int, default=1)
+    camp_p = sub.add_parser(
+        "campaign", parents=[grid], help="run every builtin scenario against every policy"
+    )
     camp_p.set_defaults(func=cmd_campaign)
 
-    trace_p = sub.add_parser("trace", help="export one dmwm run's schedule and model-error data")
+    trace_p = sub.add_parser(
+        "trace", parents=[seeded], help="export one dmwm run's schedule and model-error data"
+    )
     trace_p.add_argument("--scenario", default="default")
-    trace_p.add_argument("--seed", type=int, default=42)
     trace_p.add_argument("--run-index", type=int, default=0)
-    trace_p.add_argument("--out", default=_default_out(), help=f"output dir (or ${OUT_DIR_ENV})")
     trace_p.set_defaults(func=cmd_trace)
 
     scen_p = sub.add_parser("scenario", help="scenario management")

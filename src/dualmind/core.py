@@ -12,8 +12,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import Iterable
+from types import UnionType
+from typing import Iterable, get_args, get_origin, get_type_hints
 
 BUILTIN_SCENARIOS = ("default", "bursty", "deadline", "interference")
 
@@ -217,75 +217,37 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return {f.name: _json_value(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
 
 
-def _json_number(field_name: str, value, kind: type):
-    """value as kind (int or float); JSON booleans and strings are refused, and
-    so are non-integers in int fields."""
-    accepted = int if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, accepted):
+def _parse(name: str, value, kind):
+    """value read as kind, a ScenarioConfig annotation; raises InvalidConfig naming the field.
+
+    Lists stand for tuples and sets, null for None, and a conflict graph is
+    a list of [i, j] pairs. An integer counts as a float, a boolean never as
+    a number. validate_config checks the length of a fixed tuple.
+    """
+    if kind is ConflictGraph:
+        pairs = _parse(name, value, tuple[tuple[int, ...], ...])
+        if any(len(pair) != 2 for pair in pairs):
+            raise InvalidConfig(name, f"need [i, j] pairs, got {value!r}")
+        return ConflictGraph.from_pairs(pairs)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is UnionType:  # T | None
+        return None if value is None else _parse(name, value, args[0])
+    if origin in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise InvalidConfig(name, f"need a list, got {value!r}")
+        (item,) = set(args) - {Ellipsis}  # tuple[T, ...], tuple[T, T] or frozenset[T]
+        return origin(_parse(name, v, item) for v in value)
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise InvalidConfig(name, "must be true or false")
+        return value
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         need = "an integer" if kind is int else "a number"
-        raise InvalidConfig(field_name, f"need {need}, got {value!r}")
-    return kind(value)
-
-
-def _json_list(field_name: str, value) -> list:
-    if not isinstance(value, list):
-        raise InvalidConfig(field_name, f"need a list, got {value!r}")
-    return value
-
-
-def _json_numbers(field_name: str, value, kind: type) -> tuple:
-    return tuple(_json_number(field_name, v, kind) for v in _json_list(field_name, value))
-
-
-def _json_pair(value) -> tuple:
-    pair = _json_numbers("conflict_graph", value, int)
-    if len(pair) != 2:
-        raise InvalidConfig("conflict_graph", f"need [i, j] pairs, got {value!r}")
-    return pair
-
-
-def _json_flag(field_name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise InvalidConfig(field_name, "must be true or false")
-    return value
-
-
-_json_int = partial(_json_number, kind=int)
-_json_float = partial(_json_number, kind=float)
-_json_floats = partial(_json_numbers, kind=float)
-
-
-def _json_deadlines(field_name: str, value) -> tuple:
-    return tuple(
-        None if d is None else _json_number(field_name, d, int)
-        for d in _json_list(field_name, value)
-    )
-
-
-def _json_conflicts(field_name: str, value) -> ConflictGraph:
-    return ConflictGraph.from_pairs(_json_pair(pair) for pair in _json_list(field_name, value))
-
-
-def _json_node_set(field_name: str, value) -> frozenset:
-    return frozenset(_json_numbers(field_name, value, int))
-
-
-# How each ScenarioConfig field is read from its JSON value.
-_JSON_PARSERS = {
-    "n_nodes": _json_int,
-    "max_scheduled": _json_int,
-    "buffer": _json_int,
-    "steps": _json_int,
-    "horizon": _json_int,
-    "lambda_base": _json_floats,
-    "deadlines": _json_deadlines,
-    "conflict_graph": _json_conflicts,
-    "burst_nodes": _json_node_set,
-    "burst_probability": _json_float,
-    "burst_amplitude_range": _json_floats,
-    "fallback_conflict_aware": _json_flag,
-    "base_seed": _json_int,
-}
+        raise InvalidConfig(name, f"need {need}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise InvalidConfig(name, "integer too large for a float") from None
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
@@ -306,5 +268,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     for f in config_fields:
         if f.default is dataclasses.MISSING and f.name not in doc:
             raise InvalidConfig(f.name, "missing field")
-    parsed = {key: _JSON_PARSERS[key](key, value) for key, value in doc.items()}
+    kinds = get_type_hints(ScenarioConfig)
+    parsed = {key: _parse(key, value, kinds[key]) for key, value in doc.items()}
     return validate_config(ScenarioConfig(**parsed))

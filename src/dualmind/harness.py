@@ -119,6 +119,8 @@ def run_episode(
     decide() calls. Each slot also logs the one-step prediction of the
     drain-only model against the realised next queue state.
     """
+    if run_index < 0:
+        raise ValueError(f"run_index must be non-negative, got {run_index}")
     rows = _arrival_rows(cfg, run_index, traffic_salt)
     state = reset(cfg)
     rng = policy_stream(cfg.base_seed, run_index, traffic_salt)
@@ -266,12 +268,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_summary_csv(path, aggregates: Sequence[PolicyAggregate]) -> None:
+def _write_csv(path, header: Sequence, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for agg in aggregates:
-            writer.writerow([_fmt(getattr(agg, col)) for col in SUMMARY_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_summary_csv(path, aggregates: Sequence[PolicyAggregate]) -> None:
+    rows = ([_fmt(getattr(agg, col)) for col in SUMMARY_COLUMNS] for agg in aggregates)
+    _write_csv(path, SUMMARY_COLUMNS, rows)
 
 
 def write_summary_json(path, aggregates: Sequence[PolicyAggregate], metadata: dict | None = None) -> None:
@@ -287,36 +293,28 @@ def write_summary_json(path, aggregates: Sequence[PolicyAggregate], metadata: di
 
 
 def write_runs_csv(path, records: Sequence[RunRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RUN_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [rec.scenario, rec.policy, rec.run_index]
-                + [_fmt(getattr(rec.metrics, name)) for name in _METRICS]
-            )
+    rows = (
+        [rec.scenario, rec.policy, rec.run_index] + [_fmt(getattr(rec.metrics, name)) for name in _METRICS]
+        for rec in records
+    )
+    _write_csv(path, RUN_COLUMNS, rows)
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     """Slot-by-node integer matrix with a slot column and node column headers."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["slot"] + [f"node{i}" for i in range(matrix.shape[1])])
-        for t, row in enumerate(matrix.tolist()):
-            writer.writerow([t] + row)
+    header = ["slot"] + [f"node{i}" for i in range(matrix.shape[1])]
+    _write_csv(path, header, ([t] + row for t, row in enumerate(matrix.tolist())))
 
 
 def write_decision_trace_csv(path, trace: Sequence[DecisionRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["slot", "provenance", "nodes", "feasible_count", "best_reward"])
-        for rec in trace:
-            writer.writerow(
-                [
-                    rec.slot,
-                    rec.provenance.value,
-                    " ".join(str(i) for i in rec.nodes),
-                    rec.feasible_count,
-                    "" if rec.best_reward is None else rec.best_reward,
-                ]
-            )
+    rows = (
+        [
+            rec.slot,
+            rec.provenance.value,
+            " ".join(str(i) for i in rec.nodes),
+            rec.feasible_count,
+            "" if rec.best_reward is None else rec.best_reward,
+        ]
+        for rec in trace
+    )
+    _write_csv(path, ["slot", "provenance", "nodes", "feasible_count", "best_reward"], rows)

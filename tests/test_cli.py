@@ -102,6 +102,33 @@ def test_run_rejects_workers_below_one(tmp_path, capsys, workers):
 
 
 @pytest.mark.parametrize(
+    "args,message",
+    [
+        (["trace", "--run-index", "-1"], "run_index must be non-negative, got -1"),
+        (["run", "--runs", "0", "--steps", "10"], "need at least one run"),
+        (["run", "--runs", "1", "--steps", "10", "--workers", "0"], "need at least one worker"),
+        (["campaign", "--runs", "0", "--steps", "10"], "need at least one run"),
+        (["campaign", "--runs", "1", "--steps", "10", "--workers", "0"], "need at least one worker"),
+    ],
+    ids=["trace-run_index", "run-runs", "run-workers", "campaign-runs", "campaign-workers"],
+)
+def test_rejected_run_creates_no_out_dir(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_scenario_file_with_huge_rate_is_rejected(tmp_path, capsys):
+    doc = scenario_to_dict(builtin_scenario("bursty"))
+    doc["burst_probability"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["scenario", "show", str(path)]) == 2
+    assert capsys.readouterr().err == "error: burst_probability: integer too large for a float\n"
+
+
+@pytest.mark.parametrize(
     "command", [key for key in GOLDEN_SHA256 if key.startswith("run ")]
 )
 def test_run_matches_golden(tmp_path, command):

@@ -1,6 +1,8 @@
 """Config types, validation, builtin scenarios, JSON round-trips."""
 
+import json
 import math
+import random
 from dataclasses import MISSING, fields, replace
 
 import pytest
@@ -135,12 +137,38 @@ def test_validate_symmetrizes_pair_order():
     assert cfg.conflict_graph.sorted_pairs() == [(1, 3)]
 
 
+def _random_valid_config(rng: random.Random) -> ScenarioConfig:
+    n = rng.randint(1, 8)
+    lo = rng.choice([0.0, 1.0, rng.uniform(0.0, 3.0)])
+    pairs = [(i, j) if rng.random() < 0.5 else (j, i) for i in range(n) for j in range(i + 1, n)]
+    return validate_config(
+        ScenarioConfig(
+            n_nodes=n,
+            max_scheduled=rng.randint(1, n),
+            buffer=rng.randint(1, 100),
+            steps=rng.randint(1, 300),
+            horizon=rng.randint(1, 5),
+            lambda_base=tuple(rng.choice([1.0, 2.0, rng.uniform(0.1, 3.0)]) for _ in range(n)),
+            deadlines=tuple(rng.choice([None, rng.randint(1, 20)]) for _ in range(n)),
+            conflict_graph=ConflictGraph.from_pairs(rng.sample(pairs, rng.randint(0, len(pairs)))),
+            burst_nodes=frozenset(rng.sample(range(n), rng.randint(0, n))),
+            burst_probability=rng.choice([0.0, 1.0, rng.random()]),
+            burst_amplitude_range=(lo, lo + rng.choice([0.0, 2.0, rng.uniform(0.0, 5.0)])),
+            fallback_conflict_aware=rng.random() < 0.5,
+            base_seed=rng.randrange(2**64),
+        )
+    )
+
+
 def test_json_round_trip_all_builtins():
     configs = [builtin_scenario(name) for name in BUILTIN_SCENARIOS]
     configs.append(replace(configs[0], fallback_conflict_aware=True))
+    rng = random.Random(2026)
+    configs += [_random_valid_config(rng) for _ in range(50)]
     for cfg in configs:
         doc = scenario_to_dict(cfg)
         assert scenario_from_dict(doc) == cfg
+        assert scenario_from_dict(json.loads(json.dumps(doc))) == cfg
 
 
 def test_json_form_of_each_field():
@@ -206,6 +234,8 @@ def test_json_fallback_conflict_aware_needs_a_boolean(value):
         ("lambda_base", 0.5),
         ("burst_probability", "0.1"),
         ("burst_amplitude_range", [2, None]),
+        pytest.param("burst_probability", 10**400, id="burst_probability-huge_int"),
+        pytest.param("lambda_base", [0.5, 10**400, 0.7, 0.8, 0.9], id="lambda_base-huge_int"),
     ],
 )
 def test_json_fields_need_their_json_types(key, value):
