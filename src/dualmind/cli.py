@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .core import (
     BUILTIN_SCENARIOS,
+    InvalidConfig,
     Provenance,
     ScenarioConfig,
     UnknownScenario,
@@ -47,7 +48,10 @@ def _resolve_scenario(name_or_path: str) -> tuple[str, ScenarioConfig]:
     path = Path(name_or_path)
     if path.exists():
         with open(path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise InvalidConfig("scenario", "JSON nested too deeply") from None
         return path.stem, scenario_from_dict(doc)
     raise UnknownScenario(
         f"unknown scenario {name_or_path!r}; builtin names: {', '.join(BUILTIN_SCENARIOS)}"

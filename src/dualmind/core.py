@@ -120,8 +120,9 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise InvalidConfig("lambda_base", "rates must be positive and finite")
     if len(cfg.deadlines) != cfg.n_nodes:
         raise InvalidConfig("deadlines", "need one entry per node")
-    if any(d is not None and d < 1 for d in cfg.deadlines):
-        raise InvalidConfig("deadlines", "finite deadlines must be positive")
+    # the upper bound keeps the deadline baseline's float division by slack + 1 finite
+    if any(d is not None and not 1 <= d < 2**63 for d in cfg.deadlines):
+        raise InvalidConfig("deadlines", "finite deadlines must lie in [1, 2**63); null means none")
     for i, j in cfg.conflict_graph.pairs:
         if i == j:
             raise InvalidConfig("conflict_graph", "self pair")

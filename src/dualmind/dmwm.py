@@ -2,18 +2,26 @@
 
 The slow mind scores every feasible schedule by the packets a drain-only
 rollout of the observed queues would send over a short horizon, and keeps
-the best-scoring one. The fast mind is a queue-times-urgency fallback for
-slots where no feasible schedule exists. Every decision is logged so a
-run's planning behaviour can be audited.
+the best-scoring one, the first in lexicographic order among equals. It
+finds that schedule and counts the feasible ones in a single pass,
+icn.best_feasible, without listing them. The fast mind is a
+queue-times-urgency fallback for slots where no feasible schedule exists.
+Every decision is logged so a run's planning behaviour can be audited.
+
+rollout steps the drain-only trajectory, and slow_mind_select picks the
+best of a listed candidate set (icn.enumerate_feasible) in closed form;
+both are test oracles for the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import ConflictGraph, Provenance, ScenarioConfig
-from .icn import enumerate_feasible
+# enumerate_feasible is bound here beside its partner oracle slow_mind_select;
+# perfbench's tracer wraps both names in this module.
+from .icn import ConflictMasks, best_feasible, conflict_masks, enumerate_feasible  # noqa: F401
 from .twin import Observation, imagined_next
 
 
@@ -48,6 +56,7 @@ def slow_mind_select(
 ) -> tuple[tuple[int, ...], int] | None:
     """Best feasible schedule and its rollout score; None when there are none.
 
+    The test oracle for icn.best_feasible, on enumerate_feasible's list.
     Draining schedule S for `horizon` steps sends min(q_i, horizon) packets
     from each member, so the rollout score is the sum of those weights over
     S and no trajectory is needed. Only a strictly higher score replaces the
@@ -55,15 +64,9 @@ def slow_mind_select(
     """
     if not feasible:
         return None
-    # plain loops for the reason given in icn.enumerate_feasible
-    weight = []
-    for v in q:
-        weight.append(min(v, horizon))
     best, top = feasible[0], -1
     for schedule in feasible:
-        score = 0
-        for i in schedule:
-            score += weight[i]
+        score = sum(min(q[i], horizon) for i in schedule)
         if score > top:
             best, top = schedule, score
     return best, top
@@ -83,7 +86,7 @@ def fast_mind_select(
     variant greedily skips nodes that clash with an earlier pick or have
     zero urgency and may return fewer than k.
     """
-    # loops and no closures, for the reason given in icn.enumerate_feasible
+    # loops and no closures, for the reason given in icn.best_feasible
     urgency = []
     for n, limit in zip(q, deadlines):
         urgency.append(2 * n if limit is not None else n)
@@ -105,9 +108,12 @@ def fast_mind_select(
     return tuple(sorted(chosen))
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
-    """Audit row for one scheduling decision."""
+class DecisionRecord(NamedTuple):
+    """Audit row for one scheduling decision.
+
+    A named tuple, like twin.Observation: dmwm builds one every slot, and a
+    tuple is built in about a third of a frozen dataclass's time.
+    """
 
     slot: int
     provenance: Provenance
@@ -116,46 +122,42 @@ class DecisionRecord:
     best_reward: int | None
 
 
-def dmwm_decide(obs: Observation, cfg: ScenarioConfig) -> DecisionRecord:
+def dmwm_decide(
+    obs: Observation, cfg: ScenarioConfig, masks: ConflictMasks | None = None
+) -> DecisionRecord:
     """One slot's decision: slow mind whenever any feasible schedule exists, else fast mind.
 
-    The record's nodes are the schedule to apply, as a sorted tuple.
+    The record's nodes are the schedule to apply, as a sorted tuple. masks
+    are icn.conflict_masks(cfg), built here when not given.
     """
-    feasible = enumerate_feasible(
-        cfg.n_nodes, cfg.max_scheduled, obs.q, obs.oldest_age, cfg.deadlines, cfg.conflict_graph
+    if masks is None:
+        masks = conflict_masks(cfg)
+    count, schedule, score = best_feasible(
+        cfg.max_scheduled, obs.q, obs.oldest_age, cfg.deadlines, masks, cfg.horizon
     )
-    if feasible:
-        schedule, score = slow_mind_select(feasible, obs.q, cfg.horizon)
-        return DecisionRecord(
-            slot=obs.t,
-            provenance=Provenance.SLOW_MIND,
-            nodes=schedule,
-            feasible_count=len(feasible),
-            best_reward=score,
-        )
+    if count:
+        return DecisionRecord(obs.t, Provenance.SLOW_MIND, schedule, count, score)
     picked = fast_mind_select(
         obs.q, cfg.deadlines, cfg.max_scheduled, cfg.conflict_graph,
         conflict_aware=cfg.fallback_conflict_aware,
     )
-    return DecisionRecord(
-        slot=obs.t,
-        provenance=Provenance.FAST_MIND,
-        nodes=picked,
-        feasible_count=0,
-        best_reward=None,
-    )
+    return DecisionRecord(obs.t, Provenance.FAST_MIND, picked, 0, None)
 
 
 class DmwmScheduler:
-    """Policy wrapper around dmwm_decide keeping a per-run decision trace."""
+    """Policy wrapper around dmwm_decide keeping a per-run decision trace.
+
+    The config's conflict masks are built once, at construction.
+    """
 
     name = "dmwm"
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
+        self.masks = conflict_masks(cfg)
         self.trace: list[DecisionRecord] = []
 
     def decide(self, obs: Observation, rng) -> tuple[int, ...]:
-        record = dmwm_decide(obs, self.cfg)
+        record = dmwm_decide(obs, self.cfg, self.masks)
         self.trace.append(record)
         return record.nodes

@@ -128,6 +128,31 @@ def test_scenario_file_with_huge_rate_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "error: burst_probability: integer too large for a float\n"
 
 
+def test_scenario_file_with_huge_deadline_is_rejected(tmp_path, capsys):
+    doc = scenario_to_dict(builtin_scenario("deadline"))
+    doc["deadlines"] = [10**400, None, 10, None, 10]
+    doc["steps"] = 5
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--policy", "deadline", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: deadlines: finite deadlines must lie in [1, 2**63); null means none\n"
+    assert not out.exists()
+
+    doc["deadlines"][0] = 2**63 - 1  # the largest accepted deadline runs
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--policy", "deadline", "--runs", "1",
+                 "--out", str(out)]) == 0
+
+
+def test_deeply_nested_scenario_file_is_rejected(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["scenario", "show", str(path)]) == 2
+    assert capsys.readouterr().err == "error: scenario: JSON nested too deeply\n"
+
+
 @pytest.mark.parametrize(
     "command", [key for key in GOLDEN_SHA256 if key.startswith("run ")]
 )

@@ -66,6 +66,7 @@ def test_out_of_range_conflict_pair_rejected():
         ("burst_amplitude_range", (math.nan, math.nan)),
         ("burst_amplitude_range", (2.0, math.nan)),
         ("burst_amplitude_range", (2.0, math.inf)),
+        ("deadlines", (None, 2**63, None, None, None)),
     ],
 )
 def test_invalid_fields_rejected(field, value):

@@ -1,15 +1,20 @@
 """Dual-mind scheduler: rollouts, closed-form argmax selection, fallback, decision records."""
 
+from math import comb
+
 import numpy as np
 
-from dualmind.core import ConflictGraph, Provenance, builtin_scenario
+from dualmind.baselines import lqf_select
+from dualmind.core import ConflictGraph, Provenance, ScenarioConfig, builtin_scenario, default_lambda
 from dualmind.dmwm import (
+    DecisionRecord,
     DmwmScheduler,
     dmwm_decide,
     fast_mind_select,
     rollout,
     slow_mind_select,
 )
+from dualmind.harness import run_episode
 from dualmind.icn import enumerate_feasible
 from dualmind.twin import Observation
 from helpers import make_cfg
@@ -207,3 +212,83 @@ def test_rollout_reward_recomputable_from_trajectory():
             sum(1 for i in members if stage[i] > 0) for stage in result.trajectory[:-1]
         )
         assert result.reward == recomputed
+
+
+def _list_and_score_decide(obs, cfg):
+    """dmwm_decide as it was before the one-pass search: list the feasible sets, then score them."""
+    feasible = enumerate_feasible(
+        cfg.n_nodes, cfg.max_scheduled, obs.q, obs.oldest_age, cfg.deadlines, cfg.conflict_graph
+    )
+    if feasible:
+        schedule, score = slow_mind_select(feasible, obs.q, cfg.horizon)
+        return DecisionRecord(obs.t, Provenance.SLOW_MIND, schedule, len(feasible), score)
+    picked = fast_mind_select(
+        obs.q, cfg.deadlines, cfg.max_scheduled, cfg.conflict_graph,
+        conflict_aware=cfg.fallback_conflict_aware,
+    )
+    return DecisionRecord(obs.t, Provenance.FAST_MIND, picked, 0, None)
+
+
+class _Recorder(DmwmScheduler):
+    """A dmwm scheduler that also keeps every observation it decided on."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.seen = []
+
+    def decide(self, obs, rng):
+        self.seen.append(obs)
+        return super().decide(obs, rng)
+
+
+def _pairwise_config(n, k, steps):
+    """Conflict pairs (0,1),(2,3),..., a 10-slot deadline on even nodes, buffer 50, H=3."""
+    return ScenarioConfig(
+        n_nodes=n,
+        max_scheduled=k,
+        buffer=50,
+        steps=steps,
+        horizon=3,
+        lambda_base=default_lambda(n),
+        deadlines=tuple(10 if i % 2 == 0 else None for i in range(n)),
+        conflict_graph=ConflictGraph.from_pairs((i, i + 1) for i in range(0, n - 1, 2)),
+    )
+
+
+def test_pairwise_topology_at_32_nodes_counts_every_set_and_matches_the_oracle():
+    cfg = _pairwise_config(32, 4, steps=40)
+    everyone = _obs((2,) * 32)  # every node backlogged and within its deadline
+    record = dmwm_decide(everyone, cfg)
+    assert record.feasible_count == comb(16, 4) * 2**4 == 29120  # one node from each of 4 pairs
+    assert record == _list_and_score_decide(everyone, cfg)
+
+    policy = _Recorder(cfg)
+    run_episode(cfg, policy, run_index=0)
+    assert [_list_and_score_decide(obs, cfg) for obs in policy.seen] == policy.trace
+    assert sum(r.provenance is Provenance.SLOW_MIND for r in policy.trace) >= 30
+
+
+def test_uncapped_conflict_free_deadline_free_dmwm_is_lqf():
+    # With H >= buffer the weight min(q, H) is q, so the best K-set is the K
+    # longest queues, ties to smaller ids: lqf (capped MaxWeight with no cap).
+    rng = np.random.default_rng(404)
+    slow = 0
+    for trial in range(40):
+        n = int(rng.integers(1, 9))
+        buffer = int(rng.integers(3, 30))
+        cfg = make_cfg(
+            n_nodes=n,
+            max_scheduled=int(rng.integers(1, n + 1)),
+            buffer=buffer,
+            steps=60,
+            horizon=buffer + int(rng.integers(0, 5)),
+            lambda_base=rng.uniform(0.2, 2.0, size=n).tolist(),
+            burst_nodes=[i for i in range(n) if rng.random() < 0.3],
+            base_seed=trial,
+        )
+        policy = _Recorder(cfg)
+        run_episode(cfg, policy, run_index=0)
+        for obs, record in zip(policy.seen, policy.trace):
+            assert record.nodes == lqf_select(obs.q, cfg.max_scheduled), f"trial {trial}, slot {obs.t}"
+        slow += sum(r.provenance is Provenance.SLOW_MIND for r in policy.trace)
+    assert slow >= 1000  # the identity is checked on the slow mind, not only the fallback

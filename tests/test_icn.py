@@ -1,11 +1,13 @@
-"""Feasibility filter: direct examples, brute-force equivalence, structural properties."""
+"""Feasibility filter and exact search: direct examples, oracle equivalence, structural properties."""
 
 from itertools import combinations
 
 import numpy as np
 
-from dualmind.core import ConflictGraph
-from dualmind.icn import enumerate_feasible, icn_check
+from dualmind.core import ConflictGraph, builtin_scenario
+from dualmind.dmwm import slow_mind_select
+from dualmind.icn import best_feasible, conflict_masks, enumerate_feasible, icn_check
+from helpers import make_cfg
 
 
 def _brute_feasible(n, k, q, ages, deadlines, raw_pairs):
@@ -159,3 +161,93 @@ def test_feasibility_is_hereditary():
             for size in (1, 2):
                 for sub in combinations(schedule, size):
                     assert icn_check(sub, q, ages, deadlines, graph)
+
+
+def _search(n, k, q, ages, deadlines, graph, horizon):
+    masks = conflict_masks(make_cfg(n_nodes=n, max_scheduled=k, pairs=graph.pairs))
+    return best_feasible(k, q, ages, deadlines, masks, horizon)
+
+
+def _list_and_score(n, k, q, ages, deadlines, graph, horizon):
+    """The oracle: list the feasible sets, then keep the first best one."""
+    feasible = enumerate_feasible(n, k, q, ages, deadlines, graph)
+    if not feasible:
+        return 0, None, None, 0
+    schedule, score = slow_mind_select(feasible, q, horizon)
+    ties = sum(1 for s in feasible if sum(min(q[i], horizon) for i in s) == score)
+    return len(feasible), schedule, score, ties
+
+
+def _random_search_state(rng, n, zero_share, density):
+    q = tuple(0 if rng.random() < zero_share else int(rng.integers(1, 7)) for _ in range(n))
+    ages = tuple(int(rng.integers(0, 12)) if q[i] > 0 else None for i in range(n))
+    deadlines = tuple(int(rng.integers(1, 10)) if rng.random() < 0.5 else None for _ in range(n))
+    graph = ConflictGraph.from_pairs(
+        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density
+    )
+    return q, ages, deadlines, graph
+
+
+def test_search_matches_list_and_score_oracle_on_random_states():
+    rng = np.random.default_rng(1118)
+    found = tied = 0
+    for trial in range(300):
+        n = int(rng.integers(1, 13))
+        q, ages, deadlines, graph = _random_search_state(
+            rng, n, zero_share=0.3 * rng.random(), density=0.6 * rng.random()
+        )
+        horizon = int(rng.integers(1, 6))
+        for k in range(1, n + 1):
+            count, schedule, score, ties = _list_and_score(n, k, q, ages, deadlines, graph, horizon)
+            got = _search(n, k, q, ages, deadlines, graph, horizon)
+            assert got == (count, schedule, score), f"trial {trial}, k={k}"
+            found += count > 0
+            tied += ties > 1
+    assert found >= 500 and tied >= 300  # the count and the tie rule are both exercised
+
+
+def test_search_matches_oracle_when_k_is_at_least_16():
+    rng = np.random.default_rng(17)
+    found = 0
+    for trial in range(40):
+        q, _, _, graph = _random_search_state(rng, 20, zero_share=0.05, density=0.015)
+        ages = tuple(int(rng.integers(0, 4)) if v > 0 else None for v in q)
+        deadlines = tuple(3 if rng.random() < 0.2 else None for _ in range(20))  # few expire
+        horizon = int(rng.integers(1, 6))
+        for k in (16, 17, 20):
+            want = _list_and_score(20, k, q, ages, deadlines, graph, horizon)[:3]
+            assert _search(20, k, q, ages, deadlines, graph, horizon) == want, f"trial {trial}, k={k}"
+            found += want[0] > 0
+    assert found >= 20
+
+
+def test_search_without_any_feasible_set():
+    graph = ConflictGraph.from_pairs([(0, 1)])
+    assert _search(2, 2, (1, 1), (0, 0), (None, None), graph, 3) == (0, None, None)
+    assert _search(3, 2, (1, 0, 1), (0, None, 0), (None,) * 3, ConflictGraph(), 3)[0] == 1
+
+
+def test_k_set_exists_only_when_some_conflict_free_k_set_does():
+    assert not conflict_masks(builtin_scenario("interference")).k_set_exists  # 5-ring, K=3
+    assert conflict_masks(builtin_scenario("default")).k_set_exists
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(1, n + 1))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+        cfg = make_cfg(n_nodes=n, max_scheduled=k, pairs=pairs)
+        anywhere = enumerate_feasible(n, k, (1,) * n, (None,) * n, (None,) * n, cfg.conflict_graph)
+        assert conflict_masks(cfg).k_set_exists == bool(anywhere)
+
+
+def test_clique_cover_puts_each_node_in_one_clique_of_mutual_conflicts():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        cfg = make_cfg(n_nodes=n, max_scheduled=1, pairs=pairs)
+        clique = conflict_masks(cfg).clique
+        assert all(bin(bit).count("1") == 1 for bit in clique)
+        for i, j in combinations(range(n), 2):
+            if clique[i] == clique[j]:
+                assert cfg.conflict_graph.contains(i, j)
