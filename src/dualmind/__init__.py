@@ -70,8 +70,8 @@ from .twin import (
     draw_arrivals,
     imagined_next,
     metrics,
+    model_error_matrix,
     observe,
-    record_model_error,
     reset,
     step,
 )

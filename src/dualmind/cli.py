@@ -33,6 +33,7 @@ from .harness import (
     write_summary_csv,
     write_summary_json,
 )
+from .twin import model_error_matrix
 
 OUT_DIR_ENV = "DUALMIND_OUT"
 
@@ -145,7 +146,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     record = run_episode(cfg, policy, args.run_index, scenario=name)
     out = _ensure_out(args)
     write_matrix_csv(out / "schedule.csv", record.schedule_matrix.astype(int))
-    write_matrix_csv(out / "model_error.csv", record.model_error_matrix)
+    errors = model_error_matrix(record.queue_lengths, record.schedule_matrix)
+    write_matrix_csv(out / "model_error.csv", errors)
     write_matrix_csv(out / "queue_lengths.csv", record.queue_lengths)
     write_decision_trace_csv(out / "decisions.csv", record.decision_trace)
     slow = sum(1 for rec in record.decision_trace if rec.provenance is Provenance.SLOW_MIND)

@@ -33,16 +33,15 @@ from .baselines import (
 from .core import BUILTIN_SCENARIOS, ScenarioConfig, builtin_scenario
 from .dmwm import DecisionRecord, DmwmScheduler
 from .traffic import policy_stream, traffic_streams
-from .twin import (
-    RunMetrics,
-    draw_arrivals,
-    imagined_next,
-    metrics,
-    observe,
-    record_model_error,
-    reset,
-    step,
-)
+from .twin import RunMetrics, draw_arrivals, metrics, observe, reset, step
+
+# Bound only for perfbench's tracer, which looks both names up in this module
+# (perfbench/tracer.py:49-50); no episode calls them, as twin.model_error_matrix
+# derives the model error. They go when the benchmark re-points those hooks
+# (ROADMAP open item 1).
+from .twin import imagined_next  # noqa: F401
+
+record_model_error = None
 
 _POLICY_FACTORIES = {
     "dmwm": DmwmScheduler,
@@ -72,7 +71,8 @@ class RunRecord:
     """Everything one episode produced: metrics, counters, diagnostic matrices.
 
     The run's arrival total and final backlog are read from the per-node
-    arrivals and the last row of queue lengths.
+    arrivals and the last row of queue lengths; its model-error matrix is
+    twin.model_error_matrix(queue_lengths, schedule_matrix).
     """
 
     scenario: str
@@ -84,7 +84,6 @@ class RunRecord:
     drops_by_node: np.ndarray
     queue_lengths: np.ndarray
     schedule_matrix: np.ndarray
-    model_error_matrix: np.ndarray
     decision_trace: list[DecisionRecord] | None
 
     @property
@@ -116,8 +115,7 @@ def run_episode(
     """One seeded episode; deterministic in (cfg, policy type, run_index, salt).
 
     Pass a fresh policy per episode: stateful policies carry memory across
-    decide() calls. Each slot also logs the one-step prediction of the
-    drain-only model against the realised next queue state.
+    decide() calls.
     """
     if run_index < 0:
         raise ValueError(f"run_index must be non-negative, got {run_index}")
@@ -128,10 +126,8 @@ def run_episode(
     obs = observe(state)
     for counts in rows:
         schedule = policy.decide(obs, rng)
-        imagined = imagined_next(obs.q, schedule)
         outcome = step(state, schedule, counts)
         obs = observe(state)
-        record_model_error(state, imagined, obs.q)
         if update is not None:
             update(schedule, outcome, obs)
     trace = getattr(policy, "trace", None)
@@ -145,7 +141,6 @@ def run_episode(
         drops_by_node=np.array(state.drops_by_node, dtype=np.int64),
         queue_lengths=state.queue_length_timeseries,
         schedule_matrix=state.schedule_matrix,
-        model_error_matrix=state.model_error_matrix,
         decision_trace=list(trace) if trace is not None else None,
     )
 

@@ -7,9 +7,12 @@ packet can never be served in the slot it arrives. The arrivals come in
 as the slot's per-node counts: draw_arrivals draws every slot's counts of
 a run up front, so policies sharing a run's traffic can share the rows.
 
-A step does no numpy work. Each run's per-slot records live in flat
-buffers of steps x nodes entries, filled slot by slot, and the numpy
-matrices are read from them, without a copy, once the run has ended.
+A step does no numpy work. Each run's per-slot records, its queue
+lengths and schedule flags, live in flat buffers of steps x nodes entries,
+filled slot by slot, and the numpy matrices are read from them, without a
+copy, once the run has ended. The drain-only model's one-step prediction
+error is not recorded: model_error_matrix derives it from those two
+matrices.
 """
 
 from __future__ import annotations
@@ -65,9 +68,9 @@ class TwinState:
     queues[i] holds one arrival slot per packet waiting at node i, oldest
     first. Static per-node facts (rate, deadline, burst membership) stay in
     cfg, and run totals of arrivals and drops are sums of the per-node lists.
-    The per-slot records are flat buffers with slot t's row at t * n_nodes;
-    the matrix properties read them as steps x nodes numpy arrays, with zero
-    rows for slots not yet run.
+    The per-slot records, queue lengths and schedule flags, are flat buffers
+    with slot t's row at t * n_nodes; the matrix properties read them as
+    steps x nodes numpy arrays, with zero rows for slots not yet run.
     """
 
     cfg: ScenarioConfig
@@ -80,7 +83,6 @@ class TwinState:
     drops_by_node: list[int]
     lengths: array  # queue lengths after arrivals
     scheduled: bytearray  # 1 where a node was scheduled
-    model_errors: array  # |predicted - actual| next lengths
 
     @property
     def queue_length_timeseries(self) -> np.ndarray:
@@ -89,10 +91,6 @@ class TwinState:
     @property
     def schedule_matrix(self) -> np.ndarray:
         return _matrix(self.cfg, self.scheduled, bool)
-
-    @property
-    def model_error_matrix(self) -> np.ndarray:
-        return _matrix(self.cfg, self.model_errors, np.int64)
 
 
 def _matrix(cfg: ScenarioConfig, buffer, dtype) -> np.ndarray:
@@ -118,7 +116,6 @@ def reset(cfg: ScenarioConfig) -> TwinState:
         drops_by_node=[0] * cfg.n_nodes,
         lengths=array("q", [0]) * cells,
         scheduled=bytearray(cells),
-        model_errors=array("q", [0]) * cells,
     )
 
 
@@ -224,20 +221,17 @@ def imagined_next(q: Sequence[int], scheduled) -> tuple[int, ...]:
     return tuple(predicted)
 
 
-def record_model_error(
-    state: TwinState, imagined: Sequence[int], actual_next: Sequence[int]
-) -> None:
-    """Store elementwise |imagined - actual| for the step that just executed."""
-    t = state.t
-    if t == 0:
-        raise ValueError("no step has executed yet")
-    n = state.cfg.n_nodes
-    if len(imagined) != n or len(actual_next) != n:
-        raise ValueError("need one predicted and one actual length per node")
-    errors = state.model_errors
-    row = (t - 1) * n
-    for i in range(n):
-        errors[row + i] = abs(imagined[i] - actual_next[i])
+def model_error_matrix(queue_lengths: np.ndarray, schedule: np.ndarray) -> np.ndarray:
+    """The drain-only model's one-step prediction error of a run, slot by node.
+
+    Row t is |imagined_next(q, S_t) - Q_t|, where Q_t and S_t are row t of
+    queue_lengths and schedule and q is the state the scheduler saw at slot
+    t: Q_{t-1}, or zeros at slot 0. With prev the queue lengths shifted down
+    one row under a zero row, that is |prev - (S & (prev > 0)) - Q|.
+    """
+    prev = np.zeros_like(queue_lengths)
+    prev[1:] = queue_lengths[:-1]
+    return np.abs(prev - (schedule & (prev > 0)) - queue_lengths)
 
 
 def metrics(state: TwinState) -> RunMetrics:

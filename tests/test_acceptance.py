@@ -19,6 +19,7 @@ from dualmind.harness import aggregate, run_experiment
 from dualmind.icn import enumerate_feasible
 from dualmind.dmwm import rollout, slow_mind_select
 from dualmind.traffic import make_rng, sample_poisson
+from dualmind.twin import model_error_matrix
 from helpers import GOLDEN_SHA256, make_cfg, sha256_of
 
 
@@ -204,7 +205,7 @@ def test_c08_model_error_tracks_admitted_arrivals():
     admitted_total = np.zeros(cfg.n_nodes)
     slots = 0
     for rec in records:
-        error_total += rec.model_error_matrix.sum(axis=0)
+        error_total += model_error_matrix(rec.queue_lengths, rec.schedule_matrix).sum(axis=0)
         admitted_total += rec.arrivals_by_node - rec.drops_by_node
         slots += cfg.steps
     mean_error = error_total / slots

@@ -30,7 +30,6 @@ def _records_equal(a, b):
         and np.array_equal(a.drops_by_node, b.drops_by_node)
         and np.array_equal(a.queue_lengths, b.queue_lengths)
         and np.array_equal(a.schedule_matrix, b.schedule_matrix)
-        and np.array_equal(a.model_error_matrix, b.model_error_matrix)
         and a.decision_trace == b.decision_trace
     )
 

@@ -16,8 +16,8 @@ from dualmind.twin import (
     draw_arrivals,
     imagined_next,
     metrics,
+    model_error_matrix,
     observe,
-    record_model_error,
     reset,
     step,
 )
@@ -44,7 +44,6 @@ def test_reset_empty_and_sized():
     assert total == 0
     assert state.queue_length_timeseries.shape == (200, 5)
     assert state.schedule_matrix.shape == (200, 5)
-    assert state.model_error_matrix.shape == (200, 5)
 
 
 def test_observe_empty_queue():
@@ -181,30 +180,15 @@ def test_imagined_next_examples():
     assert imagined_next((0, 0), (0, 1)) == (0, 0)
 
 
-def test_record_model_error_rows():
-    state, quiet = _quiet_state(n_nodes=2, lambda_base=(0.0, 0.0), deadlines=(None, None))
-    step(state, (), quiet)
-    record_model_error(state, (2, 1), (2, 1))
-    assert list(state.model_error_matrix[0]) == [0, 0]
-    step(state, (), quiet)
-    record_model_error(state, (2, 1), (4, 1))
-    assert list(state.model_error_matrix[1]) == [2, 0]
-
-
-def test_record_model_error_needs_a_step():
-    state, _ = _quiet_state()
-    with pytest.raises(ValueError):
-        record_model_error(state, (0,) * 5, (0,) * 5)
-
-
-def test_record_model_error_needs_one_value_per_node():
-    state, quiet = _quiet_state()
-    step(state, (), quiet)
-    with pytest.raises(ValueError):
-        record_model_error(state, (0,) * 4, (0,) * 5)
-    with pytest.raises(ValueError):
-        record_model_error(state, (0,) * 5, (0,) * 6)
-    assert not state.model_error_matrix.any()
+def test_model_error_matrix_hand_cases():
+    state, _ = _quiet_state(n_nodes=2, lambda_base=(0.0, 0.0), deadlines=(None, None), steps=3)
+    step(state, (0,), (3, 0))  # slot 0: the model starts from empty queues
+    step(state, (1,), (0, 2))  # node 1 is scheduled while empty, then gets 2 arrivals
+    step(state, (0,), (0, 0))  # node 0 drains as predicted
+    errors = model_error_matrix(state.queue_length_timeseries, state.schedule_matrix)
+    assert errors.dtype == np.int64
+    assert errors.tolist() == [[3, 0], [0, 2], [0, 0]]
+    assert errors[0].tolist() == state.queue_length_timeseries[0].tolist()
 
 
 def test_simulation_ended():
@@ -281,7 +265,6 @@ class _OracleState:
     drops_by_node: np.ndarray
     queue_length_timeseries: np.ndarray
     schedule_matrix: np.ndarray
-    model_error_matrix: np.ndarray
 
 
 def _oracle_reset(cfg):
@@ -297,7 +280,6 @@ def _oracle_reset(cfg):
         drops_by_node=np.zeros(cfg.n_nodes, dtype=np.int64),
         queue_length_timeseries=np.zeros(shape, dtype=np.int64),
         schedule_matrix=np.zeros(shape, dtype=bool),
-        model_error_matrix=np.zeros(shape, dtype=np.int64),
     )
 
 
@@ -335,10 +317,6 @@ def _oracle_step(state, schedule, counts):
     return StepOutcome(tuple(served), tuple(delays), new_violations, new_drops)
 
 
-def _oracle_record_model_error(state, imagined, actual_next):
-    state.model_error_matrix[state.t - 1] = [abs(a - b) for a, b in zip(imagined, actual_next)]
-
-
 def _oracle_metrics(state):
     delivered = state.delivered
     return RunMetrics(
@@ -358,7 +336,7 @@ def _assert_same_state(state, oracle):
     assert state.deadline_violations == oracle.deadline_violations
     assert state.arrivals_by_node == oracle.arrivals_by_node.tolist()
     assert state.drops_by_node == oracle.drops_by_node.tolist()
-    for name in ("queue_length_timeseries", "schedule_matrix", "model_error_matrix"):
+    for name in ("queue_length_timeseries", "schedule_matrix"):
         got, want = getattr(state, name), getattr(oracle, name)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert np.array_equal(got, want), name
@@ -379,14 +357,16 @@ def _random_cfg(rng, n_nodes):
 
 def test_flat_buffers_match_numpy_oracle_on_random_runs():
     rng = np.random.default_rng(20261018)
-    seen = dict(drops=0, violations=0, wasted=0, overwrites=0)
+    seen = dict(drops=0, violations=0, wasted=0)
     for trial in range(240):
         cfg = _random_cfg(rng, n_nodes=1 + trial % 16)
         n = cfg.n_nodes
         state, oracle = reset(cfg), _oracle_reset(cfg)
         _assert_same_state(state, oracle)  # reads before the first slot
+        # the drain-only model's prediction of each slot against the twin
+        want_errors = np.zeros((cfg.steps, n), dtype=np.int64)
         rate = float(rng.uniform(0.0, 3.0))
-        for _ in range(cfg.steps):
+        for t in range(cfg.steps):
             obs = observe(state)
             size = int(rng.integers(0, cfg.max_scheduled + 1))
             schedule = tuple(sorted(int(i) for i in rng.choice(n, size=size, replace=False)))
@@ -397,13 +377,9 @@ def test_flat_buffers_match_numpy_oracle_on_random_runs():
             seen["drops"] += outcome.new_drops
             seen["violations"] += outcome.new_violations
             imagined = imagined_next(obs.q, schedule)
-            actual = observe(state).q
-            if rng.random() < 0.2:  # a later call overwrites the same row
-                wrong = tuple(int(v) for v in rng.integers(0, 9, n))
-                record_model_error(state, wrong, actual)
-                _oracle_record_model_error(oracle, wrong, actual)
-                seen["overwrites"] += 1
-            record_model_error(state, imagined, actual)
-            _oracle_record_model_error(oracle, imagined, actual)
+            want_errors[t] = [abs(a - b) for a, b in zip(imagined, observe(state).q)]
             _assert_same_state(state, oracle)  # reads mid-run see zero rows ahead
+        errors = model_error_matrix(state.queue_length_timeseries, state.schedule_matrix)
+        assert errors.dtype == want_errors.dtype
+        assert np.array_equal(errors, want_errors)
     assert all(count > 0 for count in seen.values()), seen
