@@ -8,8 +8,9 @@ and a campaign harness that aggregates metrics over seeded runs.
 Every policy's decide(observation, rng) returns the slot's schedule as a
 sorted tuple of node ids; the dual-mind scheduler also logs a
 DecisionRecord per slot saying which mind chose it. The twin keeps each
-node's queue as a deque of packet arrival slots, and its step takes the
-slot's per-node arrival counts, drawn for a whole run by draw_arrivals.
+node's queue as a deque of packet arrival slots; its step takes the slot's
+per-node arrival counts, drawn for a whole run by draw_arrivals, and
+returns the next slot's observation with the slot's outcome.
 """
 
 from .baselines import (
@@ -53,11 +54,9 @@ from .harness import (
 from .icn import enumerate_feasible, icn_check
 from .traffic import (
     TrafficStreams,
-    arrival_rate,
     generate_arrivals,
     make_rng,
     policy_stream,
-    sample_poisson,
     traffic_streams,
 )
 from .twin import (

@@ -25,6 +25,16 @@ DEFAULT_STEPS = 200
 DEFAULT_HORIZON = 3
 LAMBDA_BASE_RANGE = (0.5, 1.0)
 
+# Base-rate modulation: one sine period every 50 slots, swinging +/- 75%.
+MODULATION_PERIOD = 50.0
+MODULATION_DEPTH = 0.75
+
+# The largest arrival rate a config may reach. The traffic sampler compares
+# a product of uniforms with exp(-rate), which is a normal double only up to
+# a rate of about 708 and underflows to 0.0 above about 745, where every
+# draw would come out near 746 whatever the rate.
+MAX_RATE = 700.0
+
 
 class InvalidConfig(ValueError):
     """A scenario config violates one of its invariants."""
@@ -118,6 +128,9 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise InvalidConfig("lambda_base", "need one rate per node")
     if not all(0.0 < rate < math.inf for rate in cfg.lambda_base):
         raise InvalidConfig("lambda_base", "rates must be positive and finite")
+    peak = 1.0 + MODULATION_DEPTH
+    if max(cfg.lambda_base) * peak > MAX_RATE:
+        raise InvalidConfig("lambda_base", f"a rate's modulated peak (x{peak:g}) must not exceed {MAX_RATE:g}")
     if len(cfg.deadlines) != cfg.n_nodes:
         raise InvalidConfig("deadlines", "need one entry per node")
     # the upper bound keeps the deadline baseline's float division by slack + 1 finite
@@ -139,6 +152,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise InvalidConfig("burst_amplitude_range", "bounds must be finite")
     if lo < 0.0 or hi < lo:
         raise InvalidConfig("burst_amplitude_range", "need 0 <= low <= high")
+    if cfg.burst_probability > 0.0 and any(cfg.lambda_base[i] * peak + hi > MAX_RATE for i in cfg.burst_nodes):
+        raise InvalidConfig(
+            "burst_amplitude_range", f"a burst node's peak rate plus high must not exceed {MAX_RATE:g}"
+        )
     if not 0 <= cfg.base_seed < 2**64:
         raise InvalidConfig("base_seed", "must fit in 64 unsigned bits")
     return cfg

@@ -114,8 +114,10 @@ def run_episode(
 ) -> RunRecord:
     """One seeded episode; deterministic in (cfg, policy type, run_index, salt).
 
-    Pass a fresh policy per episode: stateful policies carry memory across
-    decide() calls.
+    The policy sees observe(state) at slot 0 and, after that, each step's
+    next_obs, which equals observe(state) after the step. Pass a fresh
+    policy per episode: stateful policies carry memory across decide()
+    calls.
     """
     if run_index < 0:
         raise ValueError(f"run_index must be non-negative, got {run_index}")
@@ -127,7 +129,7 @@ def run_episode(
     for counts in rows:
         schedule = policy.decide(obs, rng)
         outcome = step(state, schedule, counts)
-        obs = observe(state)
+        obs = outcome.next_obs
         if update is not None:
             update(schedule, outcome, obs)
     trace = getattr(policy, "trace", None)

@@ -11,25 +11,26 @@ generator's uniforms in blocks of UNIFORM_BLOCK, read from a Python list,
 so one draw costs a list step instead of a numpy call; the sequence is the
 one per-call Generator.random() would give, and a burst amplitude
 lo + (hi - lo) * u is bit for bit Generator.uniform(lo, hi).
+
+generate_arrivals draws a whole slot in one function: the modulation is
+computed once per slot, and each node's burst gate, amplitude and Poisson
+loop run inline, without a call per node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .core import ScenarioConfig
+from .core import MODULATION_DEPTH, MODULATION_PERIOD, ScenarioConfig
 
 ARRIVAL_STREAM = 0
 BURST_STREAM = 1
 POLICY_STREAM = 2
-
-# Base-rate modulation: one sine period every 50 slots, swinging +/- 75%.
-MODULATION_PERIOD = 50.0
-MODULATION_DEPTH = 0.75
 
 # Uniforms drawn per numpy call on a traffic stream.
 UNIFORM_BLOCK = 4096
@@ -43,13 +44,14 @@ def make_rng(*key: int) -> np.random.Generator:
 
 
 def _block_uniforms(rng: np.random.Generator) -> Draw:
-    """A draw callable returning rng's uniforms in order, UNIFORM_BLOCK per numpy call."""
+    """A draw callable returning rng's uniforms in order, UNIFORM_BLOCK per numpy call.
 
-    def uniforms():
-        while True:
-            yield from rng.random(UNIFORM_BLOCK).tolist()
-
-    return uniforms().__next__
+    The callable is the __next__ of a chain over an endless series of blocks
+    (the block function never returns the None sentinel), so a draw steps
+    the chain in C, without resuming a generator frame.
+    """
+    blocks = iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None)
+    return chain.from_iterable(blocks).__next__
 
 
 @dataclass
@@ -77,46 +79,41 @@ def policy_stream(base_seed: int, run_index: int, salt: int = 0) -> np.random.Ge
     return make_rng(base_seed, run_index, POLICY_STREAM, salt)
 
 
-def arrival_rate(cfg: ScenarioConfig, i: int, t: int, burst_draw: Draw) -> float:
-    """Node i's instantaneous arrival rate: modulated base plus an occasional spike.
-
-    The base is cfg.lambda_base[i] under a sinusoidal modulation. Nodes in
-    cfg.burst_nodes draw one gate uniform per slot and, when the gate fires
-    (probability cfg.burst_probability), an amplitude uniform from
-    cfg.burst_amplitude_range. Non-burst nodes consume no randomness.
-    The result is clamped to be non-negative.
-    """
-    rate = cfg.lambda_base[i] * (
-        1.0 + MODULATION_DEPTH * math.sin(2.0 * math.pi * t / MODULATION_PERIOD)
-    )
-    if i in cfg.burst_nodes and cfg.burst_probability > 0.0:
-        if burst_draw() < cfg.burst_probability:
-            lo, hi = cfg.burst_amplitude_range
-            rate += lo + (hi - lo) * burst_draw()
-    return max(rate, 0.0)
-
-
-def sample_poisson(draw: Draw, rate: float) -> int:
-    """Poisson draw by the multiplicative uniform-product method.
-
-    Consumes O(rate) uniforms, the right trade for the small per-slot rates
-    used here; rate 0 returns 0 without consuming any draws.
-    """
-    if rate <= 0.0:
-        return 0
-    threshold = math.exp(-rate)
-    count = 0
-    product = draw()
-    while product > threshold:
-        count += 1
-        product *= draw()
-    return count
-
-
 def generate_arrivals(cfg: ScenarioConfig, t: int, streams: TrafficStreams) -> tuple[int, ...]:
-    """Per-node arrival counts for slot t, drawn in node-id order."""
+    """Per-node arrival counts for slot t, drawn in node-id order.
+
+    Node i's rate is cfg.lambda_base[i] under a sinusoidal modulation,
+    1 + MODULATION_DEPTH * sin(2 pi t / MODULATION_PERIOD), the same for
+    every node of the slot. A node in cfg.burst_nodes draws one gate uniform
+    from the burst stream and, when the gate fires (probability
+    cfg.burst_probability), an amplitude uniform that adds
+    lo + (hi - lo) * u from cfg.burst_amplitude_range to its rate; other
+    nodes take no burst draws. The count is Poisson by the multiplicative
+    method (Knuth, TAOCP Vol. 2, 3.4.1): arrival uniforms are multiplied
+    until the product falls to exp(-rate) or below, so a count of c takes c + 1
+    draws and a rate of 0 takes none. It is exact while exp(-rate) is a
+    normal double, which validate_config's cap of core.MAX_RATE ensures.
+    """
+    modulation = 1.0 + MODULATION_DEPTH * math.sin(2.0 * math.pi * t / MODULATION_PERIOD)
+    arrival, burst = streams.arrivals, streams.bursts
+    probability = cfg.burst_probability
+    bursty = cfg.burst_nodes if probability > 0.0 else ()
+    lo, hi = cfg.burst_amplitude_range
+    span = hi - lo
+    exp = math.exp
     # a list first, as in twin.observe: the tuple is allocated at its final size
-    return tuple([
-        sample_poisson(streams.arrivals, arrival_rate(cfg, i, t, streams.bursts))
-        for i in range(cfg.n_nodes)
-    ])
+    counts = []
+    append = counts.append
+    for i, base in enumerate(cfg.lambda_base):
+        rate = base * modulation
+        if i in bursty and burst() < probability:
+            rate += lo + span * burst()
+        count = 0
+        if rate > 0.0:
+            threshold = exp(-rate)
+            product = arrival()
+            while product > threshold:
+                count += 1
+                product *= arrival()
+        append(count)
+    return tuple(counts)

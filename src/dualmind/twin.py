@@ -7,6 +7,12 @@ packet can never be served in the slot it arrives. The arrivals come in
 as the slot's per-node counts: draw_arrivals draws every slot's counts of
 a run up front, so policies sharing a run's traffic can share the rows.
 
+Each phase of a step is one pass: one over the sorted schedule to check
+it, one over the queues that carry a deadline (listed once by reset) to
+purge, one over the sorted schedule to serve and flag, and one over every
+node to admit arrivals, record the slot's queue lengths and build the
+observation of the next slot, which the step returns as next_obs.
+
 A step does no numpy work. Each run's per-slot records, its queue
 lengths and schedule flags, live in flat buffers of steps x nodes entries,
 filled slot by slot, and the numpy matrices are read from them, without a
@@ -21,6 +27,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,12 +49,13 @@ class Observation(NamedTuple):
 
 
 class StepOutcome(NamedTuple):
-    """What one slot produced: the nodes served, their delays, and losses."""
+    """What one slot produced: the nodes served, their delays, losses, and the next observation."""
 
     served: tuple[int, ...]
     delivered_delays: tuple[int, ...]
     new_violations: int
     new_drops: int
+    next_obs: Observation
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,8 @@ class TwinState:
     queues[i] holds one arrival slot per packet waiting at node i, oldest
     first. Static per-node facts (rate, deadline, burst membership) stay in
     cfg, and run totals of arrivals and drops are sums of the per-node lists.
-    The per-slot records, queue lengths and schedule flags, are flat buffers
+    expiring pairs each queue whose node has a deadline with that deadline,
+    so the purge visits only those queues. The per-slot records, queue lengths and schedule flags, are flat buffers
     with slot t's row at t * n_nodes; the matrix properties read them as
     steps x nodes numpy arrays, with zero rows for slots not yet run.
     """
@@ -81,6 +90,7 @@ class TwinState:
     deadline_violations: int
     arrivals_by_node: list[int]
     drops_by_node: list[int]
+    expiring: tuple[tuple[deque[int], int], ...]
     lengths: array  # queue lengths after arrivals
     scheduled: bytearray  # 1 where a node was scheduled
 
@@ -105,22 +115,29 @@ def _matrix(cfg: ScenarioConfig, buffer, dtype) -> np.ndarray:
 def reset(cfg: ScenarioConfig) -> TwinState:
     """Fresh run state: empty queues, zeroed counters, zero-filled per-slot buffers."""
     cells = cfg.steps * cfg.n_nodes
+    queues = [deque() for _ in range(cfg.n_nodes)]
     return TwinState(
         cfg=cfg,
-        queues=[deque() for _ in range(cfg.n_nodes)],
+        queues=queues,
         t=0,
         delivered=0,
         total_delay=0,
         deadline_violations=0,
         arrivals_by_node=[0] * cfg.n_nodes,
         drops_by_node=[0] * cfg.n_nodes,
+        expiring=tuple((queue, limit) for queue, limit in zip(queues, cfg.deadlines) if limit is not None),
         lengths=array("q", [0]) * cells,
         scheduled=bytearray(cells),
     )
 
 
 def observe(state: TwinState) -> Observation:
-    """Queue lengths and head ages as the scheduler sees them at the current slot."""
+    """Queue lengths and head ages as the scheduler sees them at the current slot.
+
+    The definition of an observation. step builds the same one for the next
+    slot while it records the arrivals and returns it as next_obs, so an
+    episode calls observe only at slot 0.
+    """
     # Built from lists, so each tuple is allocated at its final size and can
     # reuse a freed one. A tuple built from a generator is allocated afresh
     # at a guessed size, which adds to the cyclic collector's allocation
@@ -138,24 +155,31 @@ def draw_arrivals(cfg: ScenarioConfig, streams: TrafficStreams) -> list[tuple[in
 def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> StepOutcome:
     """Advance one slot: purge expired packets, serve the schedule, inject arrivals, record.
 
-    schedule holds distinct node ids; counts holds the slot's arrivals per
-    node as non-negative Python ints, as a row of draw_arrivals does.
-    Service is one packet per scheduled node; a scheduled node with an
-    empty queue wastes its slot. A rejected schedule or row leaves the
-    state untouched.
+    schedule holds distinct integer node ids, Python or numpy; counts holds
+    the slot's arrivals per node as non-negative Python ints, as a row of
+    draw_arrivals does. Service is one packet per scheduled node, in node
+    order; a scheduled node with an empty queue wastes its slot. A rejected
+    schedule or row leaves the state untouched. The outcome carries the
+    observation of the next slot, equal to observe(state) after the step,
+    built while the arrivals are recorded.
     """
     cfg = state.cfg
     t = state.t
     n = cfg.n_nodes
     if t >= cfg.steps:
         raise SimulationEnded(f"run is complete after {cfg.steps} slots")
-    if len(schedule) > cfg.max_scheduled:
+    order = sorted(schedule)
+    if len(order) > cfg.max_scheduled:
         raise ValueError("schedule exceeds the per-slot transmission budget")
-    for i in schedule:
-        if i < 0 or i >= n:
-            raise ValueError("schedule names an unknown node")
-    if len(set(schedule)) != len(schedule):
-        raise ValueError("schedule names a node twice")
+    if order and not (0 <= order[0] and order[-1] < n):
+        raise ValueError("schedule names an unknown node")
+    previous = -1
+    for i in order:
+        if type(i) is not int and not isinstance(i, Integral):
+            raise ValueError("schedule names a node by a non-integer id")
+        if i == previous:
+            raise ValueError("schedule names a node twice")
+        previous = i
     if len(counts) != n:
         raise ValueError("need one arrival count per node")
     for count in counts:
@@ -167,18 +191,21 @@ def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> St
 
     # 1) deadline purge: expired packets leave the queue and count as violations
     new_violations = 0
-    for queue, limit in zip(queues, cfg.deadlines):
-        if limit is None:
-            continue
-        while queue and t - queue[0] > limit:
+    for queue, limit in state.expiring:
+        cutoff = t - limit  # a packet that arrived before the cutoff is older than its deadline
+        while queue and queue[0] < cutoff:
             queue.popleft()
             new_violations += 1
     state.deadline_violations += new_violations
 
-    # 2) service: each scheduled node with a backlog sends its head packet
+    # 2) service: each scheduled node with a backlog sends its head packet;
+    # every scheduled node is flagged in row t
+    row = t * n
+    flags = state.scheduled
     served: list[int] = []
     delays: list[int] = []
-    for i in sorted(schedule):
+    for i in order:
+        flags[row + i] = 1
         queue = queues[i]
         if queue:
             served.append(i)
@@ -187,26 +214,31 @@ def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> St
     state.total_delay += sum(delays)
 
     # 3) arrivals: enqueue up to the buffer bound, count overflow as drops;
-    # 4) accounting: record the slot's lengths and schedule at row t
-    row = t * n
+    # 4) accounting: record the slot's lengths at row t and observe slot t + 1
     lengths = state.lengths
+    buffer = cfg.buffer
+    next_t = t + 1
     new_drops = 0
+    q: list[int] = []
+    ages: list[int | None] = []
     for i, count in enumerate(counts):
         queue = queues[i]
         if count:
             state.arrivals_by_node[i] += count
-            admitted = min(count, cfg.buffer - len(queue))
+            admitted = min(count, buffer - len(queue))
             queue.extend(repeat(t, admitted))
             if admitted < count:
                 new_drops += count - admitted
                 state.drops_by_node[i] += count - admitted
-        lengths[row + i] = len(queue)
-    flags = state.scheduled
-    for i in schedule:
-        flags[row + i] = 1
-    state.t = t + 1
+        length = len(queue)
+        lengths[row + i] = length
+        q.append(length)
+        ages.append(next_t - queue[0] if length else None)
+    state.t = next_t
 
-    return StepOutcome(tuple(served), tuple(delays), new_violations, new_drops)
+    return StepOutcome(
+        tuple(served), tuple(delays), new_violations, new_drops, Observation(tuple(q), tuple(ages), next_t)
+    )
 
 
 def imagined_next(q: Sequence[int], scheduled) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from dualmind.core import BUILTIN_SCENARIOS, ConflictGraph, ScenarioConfig, builtin_scenario
+from dualmind.traffic import TrafficStreams, generate_arrivals
 
 # SHA-256 of the seed-42 CLI outputs; a change here is a change in results.
 GOLDEN_SHA256 = json.loads((Path(__file__).parent / "golden" / "sha256.json").read_text())
@@ -56,3 +57,19 @@ def make_cfg(
         fallback_conflict_aware=fallback_conflict_aware,
         base_seed=base_seed,
     )
+
+
+def no_draw():
+    """A draw callable for a stream that must stay untouched."""
+    raise AssertionError("a draw was taken from a stream that should stay untouched")
+
+
+def poisson_counts(draw, rate, count):
+    """count Poisson draws at rate, taken by generate_arrivals from the arrival draw callable.
+
+    The modulation factor is exactly 1 at slot 0, so each node of a
+    count-node config whose every base rate is rate samples at rate, in
+    node order, one after the other from draw.
+    """
+    cfg = make_cfg(n_nodes=count, lam=rate)
+    return generate_arrivals(cfg, 0, TrafficStreams(arrivals=draw, bursts=no_draw))

@@ -18,9 +18,9 @@ from dualmind import cli
 from dualmind.harness import aggregate, run_experiment
 from dualmind.icn import enumerate_feasible
 from dualmind.dmwm import rollout, slow_mind_select
-from dualmind.traffic import make_rng, sample_poisson
+from dualmind.traffic import make_rng
 from dualmind.twin import model_error_matrix
-from helpers import GOLDEN_SHA256, make_cfg, sha256_of
+from helpers import GOLDEN_SHA256, make_cfg, poisson_counts, sha256_of
 
 
 def _report(criterion, detail):
@@ -189,8 +189,7 @@ def test_c06_campaign_determinism(campaign):
 
 
 def test_c07_poisson_sampler_moments():
-    draw = make_rng(424242).random
-    draws = np.array([sample_poisson(draw, 1.0) for _ in range(100_000)])
+    draws = np.array(poisson_counts(make_rng(424242).random, 1.0, 100_000))
     mean = float(draws.mean())
     var = float(draws.var(ddof=1))
     assert 0.99 <= mean <= 1.01

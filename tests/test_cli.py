@@ -87,6 +87,20 @@ def test_run_rejects_nan_burst_amplitudes(tmp_path, capsys):
     assert "burst_amplitude_range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,value", [("lambda_base", [0.5, 0.6, 2000.0, 0.8, 0.9]), ("burst_amplitude_range", [3.0, 1e6])]
+)
+def test_run_rejects_rates_past_the_sampler_cap(tmp_path, capsys, field, value):
+    # past a rate of about 745 the Poisson sampler returned about 746 whatever the rate
+    doc = scenario_to_dict(builtin_scenario("bursty"))
+    doc[field] = value
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_rejects_non_object_scenario_file(tmp_path, capsys):
     path = tmp_path / "scalar.json"
     path.write_text("5")

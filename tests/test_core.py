@@ -10,6 +10,7 @@ import pytest
 from dualmind.core import (
     BUILTIN_SCENARIOS,
     ConflictGraph,
+    MAX_RATE,
     InvalidConfig,
     ScenarioConfig,
     UnknownScenario,
@@ -67,11 +68,32 @@ def test_out_of_range_conflict_pair_rejected():
         ("burst_amplitude_range", (2.0, math.nan)),
         ("burst_amplitude_range", (2.0, math.inf)),
         ("deadlines", (None, 2**63, None, None, None)),
+        ("lambda_base", (0.5, 0.5, 2000.0, 0.5, 0.5)),
+        ("lambda_base", (1e6,) * 5),
     ],
 )
 def test_invalid_fields_rejected(field, value):
     with pytest.raises(InvalidConfig):
         validate_config(replace(make_cfg(), **{field: value}))
+
+
+def test_peak_rate_capped():
+    # the sampler compares against exp(-rate), a normal double only up to a
+    # rate of about 708: a rate's modulated peak lambda * 1.75, plus high on a
+    # burst node whose gate can fire, may not exceed MAX_RATE
+    assert MAX_RATE == 700.0
+    validate_config(make_cfg(lambda_base=(0.5, 0.5, 400.0, 0.5, 0.5)))  # peak exactly 700
+    with pytest.raises(InvalidConfig) as exc:
+        validate_config(make_cfg(lambda_base=(0.5, 0.5, 400.5, 0.5, 0.5)))
+    assert exc.value.field == "lambda_base"
+    burst = dict(lambda_base=(0.5, 4.0, 0.5, 0.5, 0.5), burst_nodes=(1,), burst_probability=0.3)
+    validate_config(make_cfg(burst_amplitude_range=(0.0, 693.0), **burst))  # 4 * 1.75 + 693 = 700
+    with pytest.raises(InvalidConfig) as exc:
+        validate_config(make_cfg(burst_amplitude_range=(0.0, 694.0), **burst))
+    assert exc.value.field == "burst_amplitude_range"
+    # a gate that never fires adds nothing, and only burst nodes add high
+    validate_config(make_cfg(burst_amplitude_range=(0.0, 694.0), **{**burst, "burst_probability": 0.0}))
+    validate_config(make_cfg(burst_amplitude_range=(0.0, 694.0), **{**burst, "burst_nodes": (0,)}))
 
 
 def test_builtin_default_structure():

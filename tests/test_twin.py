@@ -9,6 +9,7 @@ import pytest
 
 from dualmind.core import ScenarioConfig, builtin_scenario
 from dualmind.twin import (
+    Observation,
     RunMetrics,
     SimulationEnded,
     StepOutcome,
@@ -207,6 +208,20 @@ def test_schedule_rows_respect_budget():
     assert int(state.schedule_matrix[:50].sum(axis=1).max()) <= cfg.max_scheduled
 
 
+def _snapshot(state):
+    return (
+        state.t,
+        [list(queue) for queue in state.queues],
+        list(state.arrivals_by_node),
+        list(state.drops_by_node),
+        state.delivered,
+        state.total_delay,
+        state.deadline_violations,
+        state.queue_length_timeseries.tolist(),
+        state.schedule_matrix.tolist(),
+    )
+
+
 def test_oversized_or_alien_schedule_rejected():
     state, quiet = _quiet_state()
     with pytest.raises(ValueError):
@@ -219,27 +234,29 @@ def test_oversized_or_alien_schedule_rejected():
         step(state, (), (0, 0, 0, 0))  # one arrival count short
     assert state.t == 0  # a rejected schedule changes nothing
 
+    # node 0 holds an expired head packet and node 1 a backlog, so a step
+    # that got as far as its purge or its service would show in the snapshot
+    state, quiet = _quiet_state(deadlines=(2, None, None, None, None))
+    state.queues[0].extend([0, 2])
+    state.queues[1].append(2)
+    state.t = 3
+    before = _snapshot(state)
+    for schedule in ((1.5,), (0, 1.0), (np.float64(1.0),), (-1,), (1, 1)):
+        with pytest.raises(ValueError):
+            step(state, schedule, quiet)
+        assert _snapshot(state) == before, schedule
+    # Python and numpy integer ids are both accepted
+    assert step(state, (np.int64(1),), quiet).served == (1,)
+    assert step(state, (0,), quiet).served == (0,)
+    assert state.deadline_violations == 1
+
 
 def test_negative_arrival_count_rejected():
     # also non-integer counts; node 0 has packets queued, so a half-applied
     # step would serve it before failing on the row
     state = reset(make_cfg())
     step(state, (0,), (2, 1, 0, 0, 0))
-
-    def snapshot():
-        return (
-            state.t,
-            [list(queue) for queue in state.queues],
-            list(state.arrivals_by_node),
-            list(state.drops_by_node),
-            state.delivered,
-            state.total_delay,
-            state.deadline_violations,
-            state.queue_length_timeseries.tolist(),
-            state.schedule_matrix.tolist(),
-        )
-
-    before = snapshot()
+    before = _snapshot(state)
     with pytest.raises(ValueError):
         step(state, (0,), (-2, 0, 0, 0, 0))
     with pytest.raises(ValueError):
@@ -247,7 +264,7 @@ def test_negative_arrival_count_rejected():
     for row in ((1.5, 0, 0, 0, 0), (1.0, 0, 0, 0, 0), (0, 0, True, 0, 0)):
         with pytest.raises(ValueError, match="integers"):
             step(state, (0,), row)
-    assert snapshot() == before
+    assert _snapshot(state) == before
     assert conservation_gap(state) == 0
 
 
@@ -314,7 +331,12 @@ def _oracle_step(state, schedule, counts):
     for i in schedule:
         state.schedule_matrix[t, i] = True
     state.t = t + 1
-    return StepOutcome(tuple(served), tuple(delays), new_violations, new_drops)
+    next_obs = Observation(
+        tuple(len(queue) for queue in queues),
+        tuple(state.t - queue[0] if queue else None for queue in queues),
+        state.t,
+    )
+    return StepOutcome(tuple(served), tuple(delays), new_violations, new_drops, next_obs)
 
 
 def _oracle_metrics(state):
@@ -374,6 +396,7 @@ def test_flat_buffers_match_numpy_oracle_on_random_runs():
             seen["wasted"] += sum(1 for i in schedule if obs.q[i] == 0)
             outcome = step(state, schedule, counts)
             assert outcome == _oracle_step(oracle, schedule, counts)
+            assert outcome.next_obs == observe(state)
             seen["drops"] += outcome.new_drops
             seen["violations"] += outcome.new_violations
             imagined = imagined_next(obs.q, schedule)
