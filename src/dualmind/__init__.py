@@ -36,11 +36,8 @@ from .core import (
 from .dmwm import (
     DecisionRecord,
     DmwmScheduler,
-    RolloutResult,
     dmwm_decide,
     fast_mind_select,
-    rollout,
-    slow_mind_select,
 )
 from .harness import (
     POLICY_NAMES,
@@ -51,7 +48,6 @@ from .harness import (
     run_episode,
     run_experiment,
 )
-from .icn import enumerate_feasible, icn_check
 from .traffic import (
     TrafficStreams,
     generate_arrivals,
@@ -67,7 +63,6 @@ from .twin import (
     TwinState,
     conservation_gap,
     draw_arrivals,
-    imagined_next,
     metrics,
     model_error_matrix,
     observe,

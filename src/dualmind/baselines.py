@@ -4,8 +4,8 @@ decide returns the slot's schedule as a sorted tuple of distinct node ids,
 at most max_scheduled of them. A policy instance is owned by one run and
 constructed fresh for the next, so the learning baseline starts every run
 with an empty table. Policies that learn from outcomes implement
-update(schedule, outcome, next_obs); the rest leave it out and the harness
-skips the call.
+update(schedule, outcome), where outcome.next_obs is the observation of the
+next slot; the rest leave it out and the harness skips the call.
 """
 
 from __future__ import annotations
@@ -188,6 +188,6 @@ class QLearningPolicy:
         self._pending = (key, idx)
         return self._subsets[idx]
 
-    def update(self, schedule, outcome, next_obs) -> None:
+    def update(self, schedule, outcome) -> None:
         key, idx = self._pending
-        q_update(self.table, key, idx, len(outcome.served), q_state_key(next_obs.q))
+        q_update(self.table, key, idx, len(outcome.served), q_state_key(outcome.next_obs.q))

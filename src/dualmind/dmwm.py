@@ -4,72 +4,26 @@ The slow mind scores every feasible schedule by the packets a drain-only
 rollout of the observed queues would send over a short horizon, and keeps
 the best-scoring one, the first in lexicographic order among equals. It
 finds that schedule and counts the feasible ones in a single pass,
-icn.best_feasible, without listing them. The fast mind is a
+icn.best_feasible, without listing them. Draining a set for H slots sends
+min(q_i, H) packets from each member i, so the score is a MaxWeight score
+with each weight capped at H; the tests step that rollout in
+tests/oracles.py and check the search against it. The fast mind is a
 queue-times-urgency fallback for slots where no feasible schedule exists.
 Every decision is logged so a run's planning behaviour can be audited.
-
-rollout steps the drain-only trajectory, and slow_mind_select picks the
-best of a listed candidate set (icn.enumerate_feasible) in closed form;
-both are test oracles for the search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .core import ConflictGraph, Provenance, ScenarioConfig
-# enumerate_feasible is bound here beside its partner oracle slow_mind_select;
-# perfbench's tracer wraps both names in this module.
-from .icn import ConflictMasks, best_feasible, conflict_masks, enumerate_feasible  # noqa: F401
-from .twin import Observation, imagined_next
+from .icn import ConflictMasks, best_feasible, conflict_masks
+from .twin import Observation
 
-
-@dataclass(frozen=True)
-class RolloutResult:
-    """One imagined trajectory: the schedule, its score, every intermediate state."""
-
-    schedule: tuple[int, ...]
-    reward: int
-    trajectory: tuple[tuple[int, ...], ...]
-
-
-def rollout(q: Sequence[int], schedule: Sequence[int], horizon: int) -> RolloutResult:
-    """Apply the same schedule for `horizon` imagined steps with no arrivals.
-
-    The reward accumulates on the state before each drain step and counts
-    the scheduled nodes that still hold a packet. This is the reference
-    that slow_mind_select's closed form must agree with.
-    """
-    members = tuple(schedule)
-    trajectory = [tuple(q)]
-    reward = 0
-    for _ in range(horizon):
-        current = trajectory[-1]
-        reward += sum(1 for i in members if current[i] > 0)
-        trajectory.append(imagined_next(current, members))
-    return RolloutResult(schedule=members, reward=reward, trajectory=tuple(trajectory))
-
-
-def slow_mind_select(
-    feasible: Sequence[tuple[int, ...]], q: Sequence[int], horizon: int
-) -> tuple[tuple[int, ...], int] | None:
-    """Best feasible schedule and its rollout score; None when there are none.
-
-    The test oracle for icn.best_feasible, on enumerate_feasible's list.
-    Draining schedule S for `horizon` steps sends min(q_i, horizon) packets
-    from each member, so the rollout score is the sum of those weights over
-    S and no trajectory is needed. Only a strictly higher score replaces the
-    best so far, so ties keep the earliest schedule in enumeration order.
-    """
-    if not feasible:
-        return None
-    best, top = feasible[0], -1
-    for schedule in feasible:
-        score = sum(min(q[i], horizon) for i in schedule)
-        if score > top:
-            best, top = schedule, score
-    return best, top
+# Bound only for perfbench's tracer, which looks both names up in this module
+# (perfbench/tracer.py); the planner calls icn.best_feasible instead. They go
+# when the benchmark re-points those hooks (ROADMAP open item 1).
+enumerate_feasible = slow_mind_select = None
 
 
 def fast_mind_select(

@@ -36,12 +36,10 @@ from .traffic import policy_stream, traffic_streams
 from .twin import RunMetrics, draw_arrivals, metrics, observe, reset, step
 
 # Bound only for perfbench's tracer, which looks both names up in this module
-# (perfbench/tracer.py:49-50); no episode calls them, as twin.model_error_matrix
+# (perfbench/tracer.py); no episode calls them, as twin.model_error_matrix
 # derives the model error. They go when the benchmark re-points those hooks
 # (ROADMAP open item 1).
-from .twin import imagined_next  # noqa: F401
-
-record_model_error = None
+imagined_next = record_model_error = None
 
 _POLICY_FACTORIES = {
     "dmwm": DmwmScheduler,
@@ -131,7 +129,7 @@ def run_episode(
         outcome = step(state, schedule, counts)
         obs = outcome.next_obs
         if update is not None:
-            update(schedule, outcome, obs)
+            update(schedule, outcome)
     trace = getattr(policy, "trace", None)
     return RunRecord(
         scenario=scenario,

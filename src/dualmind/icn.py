@@ -1,8 +1,7 @@
 """Feasibility of candidate schedules, and the slow mind's exact search over them.
 
-A schedule passes when every member has a backlog, no member's head packet
-has outlived its deadline, and no two members interfere. icn_check states
-that predicate for one schedule.
+A schedule is feasible when every member has a backlog, no member's head
+packet has outlived its deadline, and no two members interfere.
 
 best_feasible is what the planner runs each slot. It makes one pass over the
 eligible nodes (backlogged, head within its deadline) in ascending id order
@@ -11,64 +10,15 @@ mind's score and that score, without listing the sets. Its cost follows the
 number of distinct partial states, which for sparse conflict graphs stays
 small at N = 32 where the K-sets number tens of thousands. The conflict
 graph enters as per-node bitmasks that conflict_masks builds once per config.
-
-enumerate_feasible lists the feasible K-sets in lexicographic order. With
-dmwm.slow_mind_select it is the test oracle for best_feasible.
+The tests check it against oracles that list and score every set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import ConflictGraph, ScenarioConfig
-
-
-def icn_check(
-    schedule: Iterable[int],
-    q: Sequence[int],
-    oldest_age: Sequence[int | None],
-    deadlines: Sequence[int | None],
-    conflicts: ConflictGraph,
-) -> bool:
-    """True iff the schedule is feasible in the observed state."""
-    members = tuple(schedule)
-    for i in members:
-        if q[i] == 0:
-            return False
-        limit = deadlines[i]
-        age = oldest_age[i]
-        if limit is not None and age is not None and age > limit:
-            return False
-    for i, j in combinations(members, 2):
-        if conflicts.contains(i, j):
-            return False
-    return True
-
-
-def enumerate_feasible(
-    n_nodes: int,
-    k: int,
-    q: Sequence[int],
-    oldest_age: Sequence[int | None],
-    deadlines: Sequence[int | None],
-    conflicts: ConflictGraph,
-) -> list[tuple[int, ...]]:
-    """All feasible schedules of exactly k nodes, in lexicographic order.
-
-    The test oracle for best_feasible. Subsets of the eligible nodes keep
-    the lexicographic order of combinations(range(n_nodes), k). Conflict
-    pairs are stored as (min, max), as combinations() yields them, so a
-    disjointness test is icn_check's pairwise rule.
-    """
-    eligible = []
-    for i in range(n_nodes):
-        limit, age = deadlines[i], oldest_age[i]
-        if q[i] > 0 and (limit is None or age is None or age <= limit):
-            eligible.append(i)
-    pairs = conflicts.pairs
-    return [c for c in combinations(eligible, k) if pairs.isdisjoint(combinations(c, 2))]
+from .core import ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -99,8 +49,8 @@ def best_feasible(
 
     The score of a set is the sum of min(q_i, horizon) over its members,
     and the schedule is the first set in lexicographic order with the
-    highest score: what slow_mind_select returns on enumerate_feasible's
-    list. masks is conflict_masks(cfg) for the config's conflict graph.
+    highest score. masks is conflict_masks(cfg) for the config's conflict
+    graph.
 
     Two bounds end a slot early: the config has no conflict-free k-set at
     all, or the eligible nodes meet fewer than k cliques of the masks'

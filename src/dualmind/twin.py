@@ -155,8 +155,9 @@ def draw_arrivals(cfg: ScenarioConfig, streams: TrafficStreams) -> list[tuple[in
 def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> StepOutcome:
     """Advance one slot: purge expired packets, serve the schedule, inject arrivals, record.
 
-    schedule holds distinct integer node ids, Python or numpy; counts holds
-    the slot's arrivals per node as non-negative Python ints, as a row of
+    schedule holds distinct integer node ids, Python or numpy but not bool;
+    the outcome names served nodes by Python ints. counts holds the slot's
+    arrivals per node as non-negative Python ints, as a row of
     draw_arrivals does. Service is one packet per scheduled node, in node
     order; a scheduled node with an empty queue wastes its slot. A rejected
     schedule or row leaves the state untouched. The outcome carries the
@@ -175,8 +176,11 @@ def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> St
         raise ValueError("schedule names an unknown node")
     previous = -1
     for i in order:
-        if type(i) is not int and not isinstance(i, Integral):
-            raise ValueError("schedule names a node by a non-integer id")
+        if type(i) is not int:
+            if isinstance(i, bool) or not isinstance(i, Integral):
+                raise ValueError("schedule names a node by a bool or a non-integer id")
+            # served reports Python ints; the loop goes on over the ids as given
+            order = [int(j) for j in order]
         if i == previous:
             raise ValueError("schedule names a node twice")
         previous = i
@@ -241,25 +245,13 @@ def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> St
     )
 
 
-def imagined_next(q: Sequence[int], scheduled) -> tuple[int, ...]:
-    """One drain-only prediction step: scheduled nodes lose one packet, floored at zero.
-
-    Arrivals are deliberately absent; this is the planner's internal model.
-    """
-    predicted = list(q)
-    for i in scheduled:
-        if predicted[i] > 0:
-            predicted[i] -= 1
-    return tuple(predicted)
-
-
 def model_error_matrix(queue_lengths: np.ndarray, schedule: np.ndarray) -> np.ndarray:
     """The drain-only model's one-step prediction error of a run, slot by node.
 
-    Row t is |imagined_next(q, S_t) - Q_t|, where Q_t and S_t are row t of
-    queue_lengths and schedule and q is the state the scheduler saw at slot
-    t: Q_{t-1}, or zeros at slot 0. With prev the queue lengths shifted down
-    one row under a zero row, that is |prev - (S & (prev > 0)) - Q|.
+    The model predicts that each scheduled node holding a packet loses one
+    and nothing else changes. Row t is |q - (S_t & (q > 0)) - Q_t|, where
+    Q_t and S_t are row t of queue_lengths and schedule and q is the state
+    the scheduler saw at slot t: Q_{t-1}, or zeros at slot 0.
     """
     prev = np.zeros_like(queue_lengths)
     prev[1:] = queue_lengths[:-1]

@@ -6,6 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from dualmind.core import BUILTIN_SCENARIOS, ConflictGraph, ScenarioConfig, builtin_scenario
+from dualmind.icn import best_feasible, conflict_masks
 from dualmind.traffic import TrafficStreams, generate_arrivals
 
 # SHA-256 of the seed-42 CLI outputs; a change here is a change in results.
@@ -73,3 +74,29 @@ def poisson_counts(draw, rate, count):
     """
     cfg = make_cfg(n_nodes=count, lam=rate)
     return generate_arrivals(cfg, 0, TrafficStreams(arrivals=draw, bursts=no_draw))
+
+
+def random_state(rng, n, zero_share, density):
+    """A random planner input (q, oldest_age, deadlines, pairs) on n nodes.
+
+    A node is idle with probability zero_share, else holds 1-6 packets with
+    a head aged 0-11 slots; each node carries a deadline of 1-9 slots with
+    probability 1/2; each pair of nodes conflicts with probability density
+    and is given either way round.
+    """
+    q = tuple(0 if rng.random() < zero_share else int(rng.integers(1, 7)) for _ in range(n))
+    ages = tuple(int(rng.integers(0, 12)) if v > 0 else None for v in q)
+    deadlines = tuple(int(rng.integers(1, 10)) if rng.random() < 0.5 else None for _ in range(n))
+    pairs = frozenset(
+        (i, j) if rng.random() < 0.5 else (j, i)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    )
+    return q, ages, deadlines, pairs
+
+
+def search(k, q, oldest_age, deadlines, pairs, horizon):
+    """icn.best_feasible on a hand-made state, its masks built from pairs."""
+    masks = conflict_masks(make_cfg(n_nodes=len(q), max_scheduled=k, pairs=pairs))
+    return best_feasible(k, q, oldest_age, deadlines, masks, horizon)

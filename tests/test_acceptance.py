@@ -7,7 +7,6 @@ command, and is shared by the criteria that consume it.
 """
 
 import time
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,11 +15,10 @@ from dualmind.baselines import QTable, q_select, q_update
 from dualmind.core import ConflictGraph, Provenance
 from dualmind import cli
 from dualmind.harness import aggregate, run_experiment
-from dualmind.icn import enumerate_feasible
-from dualmind.dmwm import rollout, slow_mind_select
 from dualmind.traffic import make_rng
 from dualmind.twin import model_error_matrix
-from helpers import GOLDEN_SHA256, make_cfg, poisson_counts, sha256_of
+from helpers import GOLDEN_SHA256, make_cfg, poisson_counts, random_state, search, sha256_of
+from oracles import drain_rollout, feasible_sets, first_best
 
 
 def _report(criterion, detail):
@@ -46,69 +44,24 @@ def campaign(tmp_path_factory):
     return records, aggregate(records), elapsed, out
 
 
-def _brute_feasible(n, k, q, ages, deadlines, raw_pairs):
-    out = []
-    for combo in combinations(range(n), k):
-        ok = all(q[i] > 0 for i in combo)
-        if ok:
-            for i in combo:
-                d = deadlines[i]
-                if d is not None and ages[i] is not None and ages[i] > d:
-                    ok = False
-        if ok:
-            for i in combo:
-                for j in combo:
-                    if i != j and ((i, j) in raw_pairs or (j, i) in raw_pairs):
-                        ok = False
-        if ok:
-            out.append(combo)
-    return out
-
-
-def _random_state(rng, n=5):
-    q = tuple(int(rng.integers(0, 7)) for _ in range(n))
-    ages = tuple(int(rng.integers(0, 11)) if q[i] > 0 else None for i in range(n))
-    deadlines = tuple(int(rng.integers(1, 9)) if rng.random() < 0.5 else None for _ in range(n))
-    raw_pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
-    return q, ages, deadlines, raw_pairs
-
-
 def test_c01_feasibility_oracle_equivalence():
     rng = np.random.default_rng(20260801)
     start = time.perf_counter()
     for trial in range(1000):
         k = 1 + trial % 3
-        q, ages, deadlines, raw_pairs = _random_state(rng)
-        graph = ConflictGraph.from_pairs(raw_pairs)
-        got = enumerate_feasible(5, k, q, ages, deadlines, graph)
-        want = _brute_feasible(5, k, q, ages, deadlines, raw_pairs)
-        assert got == want, f"trial {trial}: {got} != {want}"
+        q, ages, deadlines, pairs = random_state(rng, 5, zero_share=1 / 7, density=0.3)
+        sets = feasible_sets(k, q, ages, deadlines, pairs)
+        count, schedule, _ = search(k, q, ages, deadlines, pairs, 3)
+        assert count == len(sets), f"trial {trial}: {count} != {len(sets)}"
+        assert schedule in sets if sets else schedule is None, f"trial {trial}: {schedule}"
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
-    _report("C1", f"1000 randomized states matched brute force in {elapsed:.2f}s")
+    _report("C1", f"the search counted the oracle's feasible sets on 1000 randomized states in {elapsed:.2f}s")
 
 
-def _drain_reward(q, members, horizon, literal):
-    # independent re-statement of the drain dynamics and both scoring rules
-    lengths = {i: v for i, v in enumerate(q)}
-    total = 0
-    for _ in range(horizon):
-        if literal:
-            total += sum(1 for v in lengths.values() if v > 0)
-        else:
-            total += sum(1 for i in members if lengths[i] > 0)
-        for i in members:
-            lengths[i] = max(lengths[i] - 1, 0)
-    return total
-
-
-def _mostly_feasible_state(rng, n=5):
-    # richer than _random_state so most trials exercise the maximizer
-    q = tuple(0 if rng.random() < 0.15 else int(rng.integers(1, 8)) for _ in range(n))
-    ages = tuple(int(rng.integers(0, 7)) if q[i] > 0 else None for i in range(n))
-    deadlines = tuple(int(rng.integers(3, 10)) if rng.random() < 0.4 else None for _ in range(n))
-    raw_pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.15}
-    return q, ages, deadlines, raw_pairs
+def _backlogged_slots(rollout):
+    """The removed alternative score: backlogged node-slots over the horizon, scheduled or not."""
+    return sum(sum(1 for v in queues if v > 0) for queues in rollout.trajectory[:-1])
 
 
 def test_c02_slow_mind_argmax_oracle():
@@ -116,37 +69,28 @@ def test_c02_slow_mind_argmax_oracle():
     start = time.perf_counter()
     checked = 0
     for trial in range(500):
-        q, ages, deadlines, raw_pairs = _mostly_feasible_state(rng)
-        graph = ConflictGraph.from_pairs(raw_pairs)
+        q, ages, deadlines, pairs = random_state(rng, 7, zero_share=0.1, density=0.15)
         horizon = 1 + trial % 4
-        feasible = enumerate_feasible(5, 3, q, ages, deadlines, graph)
-        assert feasible == _brute_feasible(5, 3, q, ages, deadlines, raw_pairs)
-        best = slow_mind_select(feasible, q, horizon)
-        if not feasible:
-            assert best is None
+        got = search(3, q, ages, deadlines, pairs, horizon)
+        assert got == first_best(3, q, ages, deadlines, pairs, horizon), f"trial {trial}"
+        if got[0] == 0:
             continue
-        schedule, score = best
-        # both rules differ by a constant over feasible sets, so they share the first argmax
-        for literal in (True, False):
-            oracle = [_drain_reward(q, s, horizon, literal) for s in feasible]
-            top = max(oracle)
-            assert schedule == feasible[oracle.index(top)]
-            if not literal:
-                assert score == top
-                assert [rollout(q, s, horizon).reward for s in feasible] == oracle
-            checked += 1
+        # the two rules differ by a constant over feasible sets, so they share the first argmax
+        backlogged = first_best(3, q, ages, deadlines, pairs, horizon, score=_backlogged_slots)
+        assert got[:2] == backlogged[:2], f"trial {trial}"
+        checked += 2
     elapsed = time.perf_counter() - start
     assert checked >= 800  # most of the 500 states must actually exercise the argmax
     assert elapsed < 10.0
-    _report("C2", f"{checked} argmax selections matched the exhaustive oracle in {elapsed:.2f}s")
+    _report("C2", f"{checked} argmax selections matched the exhaustive rollout oracle in {elapsed:.2f}s")
 
 
 def test_c03_rollout_hand_check():
-    served = rollout((3, 1), (0,), 3)
+    served = drain_rollout((3, 1), (0,), 3)
     assert served.reward == 3
     assert served.trajectory == ((3, 1), (2, 1), (1, 1), (0, 1))
-    assert slow_mind_select([(0,)], (3, 1), 3) == ((0,), 3)
-    _report("C3", "hand-stepped trajectory, its reward and the closed form match")
+    assert search(1, (3, 1), (0, 0), (None, None), (), 3) == (2, (0,), 3)
+    _report("C3", "hand-stepped trajectory and its reward match the search's choice and score")
 
 
 def test_c04_conservation_over_full_campaign(campaign):

@@ -1,4 +1,4 @@
-"""Dual-mind scheduler: rollouts, closed-form argmax selection, fallback, decision records."""
+"""Dual-mind scheduler: the slow mind's choice, the fallback, decision records."""
 
 from math import comb
 
@@ -6,89 +6,56 @@ import numpy as np
 
 from dualmind.baselines import lqf_select
 from dualmind.core import ConflictGraph, Provenance, ScenarioConfig, builtin_scenario, default_lambda
-from dualmind.dmwm import (
-    DecisionRecord,
-    DmwmScheduler,
-    dmwm_decide,
-    fast_mind_select,
-    rollout,
-    slow_mind_select,
-)
+from dualmind.dmwm import DecisionRecord, DmwmScheduler, dmwm_decide, fast_mind_select
 from dualmind.harness import run_episode
-from dualmind.icn import enumerate_feasible
-from dualmind.twin import Observation
-from helpers import make_cfg
+from dualmind.twin import Observation, reset, step
+from helpers import make_cfg, search
+from oracles import drain_rollout, feasible_sets, first_best
 
 
 def test_rollout_served_hand_check():
-    result = rollout((3, 1), (0,), 3)
-    assert result.reward == 3
-    assert result.trajectory == ((3, 1), (2, 1), (1, 1), (0, 1))
-
-
-def test_rollout_all_empty():
-    assert rollout((0, 0), (0, 1), 4).reward == 0
-
-
-def test_rollout_monotone_and_bounded():
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        q = tuple(int(rng.integers(0, 9)) for _ in range(5))
-        members = tuple(sorted(rng.choice(5, size=3, replace=False).tolist()))
-        horizon = int(rng.integers(1, 5))
-        result = rollout(q, members, horizon)
-        assert result.trajectory[0] == q
-        for before, after in zip(result.trajectory, result.trajectory[1:]):
-            for i in range(5):
-                if i in members:
-                    assert after[i] == max(before[i] - 1, 0)
-                else:
-                    assert after[i] == before[i]
-        assert 0 <= result.reward <= horizon * len(members)
+    # Without arrivals the twin serves what the slow mind's rollout imagines.
+    cfg = make_cfg(n_nodes=2, max_scheduled=1, lam=0.0, steps=4)
+    state = reset(cfg)
+    obs = step(state, (), (3, 1)).next_obs
+    record = dmwm_decide(obs, cfg)
+    assert (record.nodes, record.feasible_count, record.best_reward) == ((0,), 2, 3)
+    served = sum(len(step(state, record.nodes, (0, 0)).served) for _ in range(3))
+    assert served == record.best_reward
+    rollout = drain_rollout(obs.q, record.nodes, cfg.horizon)
+    assert state.queue_length_timeseries.tolist() == [list(q) for q in rollout.trajectory]
 
 
 def test_served_with_unit_horizon_equals_slot_reward():
+    # At horizon 1 the slow mind's score is the packets the twin sends in the slot.
     rng = np.random.default_rng(77)
+    cfg = make_cfg(lam=0.0, steps=2, horizon=1, pairs=[(0, 1), (2, 3)])
+    planned = 0
     for _ in range(100):
-        q = tuple(int(rng.integers(0, 4)) for _ in range(5))
-        members = tuple(sorted(rng.choice(5, size=3, replace=False).tolist()))
-        instantaneous = sum(1 for i in members if q[i] > 0)
-        assert rollout(q, members, 1).reward == instantaneous
+        state = reset(cfg)
+        obs = step(state, (), tuple(int(v) for v in rng.integers(0, 4, size=5))).next_obs
+        record = dmwm_decide(obs, cfg)
+        if record.provenance is Provenance.SLOW_MIND:
+            planned += 1
+            assert record.best_reward == len(step(state, record.nodes, (0,) * 5).served)
+    assert planned >= 20
 
 
 def test_slow_mind_empty_feasible_gives_none():
-    assert slow_mind_select([], (3, 1), 3) is None
+    assert search(2, (3, 1), (0, 0), (None, None), [(0, 1)], 3) == (0, None, None)
+    record = dmwm_decide(_obs((3, 1)), make_cfg(n_nodes=2, max_scheduled=2, pairs=[(0, 1)]))
+    assert (record.provenance, record.feasible_count, record.best_reward) == (Provenance.FAST_MIND, 0, None)
 
 
 def test_slow_mind_prefers_higher_reward():
-    assert slow_mind_select([(0,), (1,)], (3, 1), 3) == ((0,), 3)
+    assert search(1, (1, 3), (0, 0), (None, None), (), 3) == (2, (1,), 3)
 
 
 def test_slow_mind_tie_keeps_enumeration_order():
     # both singletons send one packet over a 1-step horizon
-    assert slow_mind_select([(0,), (1,)], (2, 2), 1) == ((0,), 1)
-
-
-def test_slow_mind_matches_max_oracle_with_ties():
-    rng = np.random.default_rng(4242)
-    tied = 0
-    for _ in range(2000):
-        n = int(rng.integers(1, 10))
-        k = int(rng.integers(1, n + 1))
-        horizon = int(rng.integers(1, 5))
-        q = tuple(int(rng.integers(0, 6)) for _ in range(n))
-        feasible = [
-            tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-            for _ in range(int(rng.integers(1, 12)))
-        ]
-
-        def score(s):
-            return sum(min(q[i], horizon) for i in s)
-
-        best = max(feasible, key=score)
-        assert slow_mind_select(feasible, q, horizon) == (best, score(best))
-        tied += [score(s) for s in feasible].count(score(best)) > 1
-    assert tied >= 500  # ties must be common for the tie order to be tested
+    assert search(1, (2, 2), (0, 0), (None, None), (), 1) == (2, (0,), 1)
+    # (1, 2), (1, 3) and (2, 3) all send six packets over three steps
+    assert search(2, (1, 5, 5, 5), (0,) * 4, (None,) * 4, (), 3) == (6, (1, 2), 6)
 
 
 def test_fast_mind_urgency_doubling():
@@ -183,10 +150,7 @@ def test_provenance_matches_feasibility():
         q = tuple(int(rng.integers(0, 4)) for _ in range(5))
         ages = tuple(int(rng.integers(0, 9)) if q[i] > 0 else None for i in range(5))
         obs = _obs(q, ages)
-        feasible = enumerate_feasible(
-            cfg.n_nodes, cfg.max_scheduled, obs.q, obs.oldest_age,
-            cfg.deadlines, cfg.conflict_graph,
-        )
+        feasible = feasible_sets(cfg.max_scheduled, obs.q, obs.oldest_age, cfg.deadlines, cfg.conflict_graph.pairs)
         expected = Provenance.SLOW_MIND if feasible else Provenance.FAST_MIND
         assert dmwm_decide(obs, cfg).provenance is expected
 
@@ -201,27 +165,13 @@ def test_scheduler_trace_grows_per_decision():
     assert [rec.slot for rec in policy.trace] == [0, 1, 2, 3, 4]
 
 
-def test_rollout_reward_recomputable_from_trajectory():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        q = tuple(int(rng.integers(0, 7)) for _ in range(5))
-        members = tuple(sorted(rng.choice(5, size=2, replace=False).tolist()))
-        horizon = int(rng.integers(1, 5))
-        result = rollout(q, members, horizon)
-        recomputed = sum(
-            sum(1 for i in members if stage[i] > 0) for stage in result.trajectory[:-1]
-        )
-        assert result.reward == recomputed
-
-
-def _list_and_score_decide(obs, cfg):
-    """dmwm_decide as it was before the one-pass search: list the feasible sets, then score them."""
-    feasible = enumerate_feasible(
-        cfg.n_nodes, cfg.max_scheduled, obs.q, obs.oldest_age, cfg.deadlines, cfg.conflict_graph
+def _oracle_decide(obs, cfg):
+    """dmwm_decide from the oracles: list and roll out every feasible set, else the fast mind."""
+    count, schedule, score = first_best(
+        cfg.max_scheduled, obs.q, obs.oldest_age, cfg.deadlines, cfg.conflict_graph.pairs, cfg.horizon
     )
-    if feasible:
-        schedule, score = slow_mind_select(feasible, obs.q, cfg.horizon)
-        return DecisionRecord(obs.t, Provenance.SLOW_MIND, schedule, len(feasible), score)
+    if count:
+        return DecisionRecord(obs.t, Provenance.SLOW_MIND, schedule, count, score)
     picked = fast_mind_select(
         obs.q, cfg.deadlines, cfg.max_scheduled, cfg.conflict_graph,
         conflict_aware=cfg.fallback_conflict_aware,
@@ -260,11 +210,11 @@ def test_pairwise_topology_at_32_nodes_counts_every_set_and_matches_the_oracle()
     everyone = _obs((2,) * 32)  # every node backlogged and within its deadline
     record = dmwm_decide(everyone, cfg)
     assert record.feasible_count == comb(16, 4) * 2**4 == 29120  # one node from each of 4 pairs
-    assert record == _list_and_score_decide(everyone, cfg)
+    assert record == _oracle_decide(everyone, cfg)
 
     policy = _Recorder(cfg)
     run_episode(cfg, policy, run_index=0)
-    assert [_list_and_score_decide(obs, cfg) for obs in policy.seen] == policy.trace
+    assert [_oracle_decide(obs, cfg) for obs in policy.seen] == policy.trace
     assert sum(r.provenance is Provenance.SLOW_MIND for r in policy.trace) >= 30
 
 

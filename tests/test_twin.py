@@ -15,7 +15,6 @@ from dualmind.twin import (
     StepOutcome,
     conservation_gap,
     draw_arrivals,
-    imagined_next,
     metrics,
     model_error_matrix,
     observe,
@@ -25,6 +24,7 @@ from dualmind.twin import (
 from dualmind.traffic import traffic_streams
 from dualmind.baselines import lqf_select
 from helpers import make_cfg
+from oracles import drain_rollout
 
 
 def _quiet_state(**overrides):
@@ -175,12 +175,6 @@ def test_metrics_zero_traffic():
     assert report.avg_delay == 0.0
 
 
-def test_imagined_next_examples():
-    assert imagined_next((3, 1, 0), (0, 2)) == (2, 1, 0)
-    assert imagined_next((4, 2), ()) == (4, 2)
-    assert imagined_next((0, 0), (0, 1)) == (0, 0)
-
-
 def test_model_error_matrix_hand_cases():
     state, _ = _quiet_state(n_nodes=2, lambda_base=(0.0, 0.0), deadlines=(None, None), steps=3)
     step(state, (0,), (3, 0))  # slot 0: the model starts from empty queues
@@ -241,12 +235,13 @@ def test_oversized_or_alien_schedule_rejected():
     state.queues[1].append(2)
     state.t = 3
     before = _snapshot(state)
-    for schedule in ((1.5,), (0, 1.0), (np.float64(1.0),), (-1,), (1, 1)):
+    for schedule in ((1.5,), (0, 1.0), (np.float64(1.0),), (-1,), (1, 1), (True,), (0, False)):
         with pytest.raises(ValueError):
             step(state, schedule, quiet)
         assert _snapshot(state) == before, schedule
-    # Python and numpy integer ids are both accepted
-    assert step(state, (np.int64(1),), quiet).served == (1,)
+    # Python and numpy integer ids are both accepted, and served names Python ints
+    served = step(state, (np.int64(1),), quiet).served
+    assert served == (1,) and type(served[0]) is int
     assert step(state, (0,), quiet).served == (0,)
     assert state.deadline_violations == 1
 
@@ -399,7 +394,7 @@ def test_flat_buffers_match_numpy_oracle_on_random_runs():
             assert outcome.next_obs == observe(state)
             seen["drops"] += outcome.new_drops
             seen["violations"] += outcome.new_violations
-            imagined = imagined_next(obs.q, schedule)
+            imagined = drain_rollout(obs.q, schedule, 1).trajectory[1]
             want_errors[t] = [abs(a - b) for a, b in zip(imagined, observe(state).q)]
             _assert_same_state(state, oracle)  # reads mid-run see zero rows ahead
         errors = model_error_matrix(state.queue_length_timeseries, state.schedule_matrix)
