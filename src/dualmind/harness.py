@@ -9,12 +9,23 @@ draw; an unpaired mode salts the key with the policy name for fully
 independent runs. The whole campaign is a pure function of its seeds:
 rerunning it reproduces every record bit for bit, sequentially or across
 worker processes.
+
+Parallel calls share one worker pool, which lives for the whole process.
+The first call with workers > 1 starts it, and every later call with the
+same worker count reuses it; a call with another count replaces it, and a
+call that fails drops it, so the next call starts a fresh one. The workers
+are started (forked, on Linux) when the first parallel call starts, so they
+do not see a monkeypatch made after that call. A forked child never
+inherits its parent's pool, and the pool exits with the interpreter. The
+pool is not guarded by a lock: make parallel calls from one thread at a
+time.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -53,15 +64,18 @@ _POLICY_FACTORIES = {
 POLICY_NAMES = tuple(_POLICY_FACTORIES)
 
 
-def make_policy(name: str, cfg: ScenarioConfig):
-    """A fresh policy instance for one run."""
+def _policy_factory(name: str):
     try:
-        factory = _POLICY_FACTORIES[name]
+        return _POLICY_FACTORIES[name]
     except KeyError:
         raise ValueError(
             f"unknown policy {name!r}; valid names: {', '.join(POLICY_NAMES)}"
         ) from None
-    return factory(cfg)
+
+
+def make_policy(name: str, cfg: ScenarioConfig):
+    """A fresh policy instance for one run."""
+    return _policy_factory(name)(cfg)
 
 
 @dataclass
@@ -163,6 +177,42 @@ def _run_job(job: tuple[str, ScenarioConfig, Sequence[str], int, bool]) -> list[
     ]
 
 
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_workers
+    _pool, _pool_workers = None, 0
+
+
+# a forked child must start its own pool, never submit to its parent's
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The process's pool of `workers` workers, started on first use and kept.
+
+    A pool of another size is shut down, its manager thread joined, before
+    the new one starts.
+    """
+    global _pool, _pool_workers
+    if _pool is not None and _pool_workers != workers:
+        old = _pool
+        _forget_pool()
+        old.shutdown(wait=True)
+    if _pool is None:
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+    return _pool
+
+
+def _check_count(name: str, value, below_one: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(below_one)
+
+
 def run_experiment(
     scenarios: Sequence[str | tuple[str, ScenarioConfig]] = BUILTIN_SCENARIOS,
     policies: Sequence[str] = POLICY_NAMES,
@@ -175,18 +225,27 @@ def run_experiment(
     Records come back ordered by (scenario, policy, run_index) regardless of
     worker count. Scenario entries may be builtin names or (label, config)
     pairs. Every config runs exactly as given: to change its seed, steps or
-    horizon, pass dataclasses.replace(cfg, ...) instead.
+    horizon, pass dataclasses.replace(cfg, ...) instead. A bad runs or
+    workers value or an unknown policy name raises ValueError before any
+    episode runs. With workers > 1 the jobs run on the process's shared
+    worker pool (see the module docstring).
     """
-    if runs < 1:
-        raise ValueError("need at least one run")
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    resolved = [(item, builtin_scenario(item)) if isinstance(item, str) else item for item in scenarios]
+    _check_count("runs", runs, "need at least one run")
+    _check_count("workers", workers, "need at least one worker")
     policies = tuple(policies)
+    for name in policies:
+        _policy_factory(name)  # an unknown name fails here, before any work starts
+    resolved = [(item, builtin_scenario(item)) if isinstance(item, str) else item for item in scenarios]
     jobs = [(name, cfg, policies, run_index, paired) for name, cfg in resolved for run_index in range(runs)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = _worker_pool(workers)
+        try:
             done = list(pool.map(_run_job, jobs, chunksize=max(1, len(jobs) // (workers * 4))))
+        except BaseException:
+            # a failed job, a dead worker or an interrupt: the next call starts afresh
+            _forget_pool()
+            pool.shutdown(cancel_futures=True)
+            raise
     else:
         done = [_run_job(job) for job in jobs]
     # done holds one list per (scenario, run), in policy order

@@ -7,11 +7,12 @@ packet can never be served in the slot it arrives. The arrivals come in
 as the slot's per-node counts: draw_arrivals draws every slot's counts of
 a run up front, so policies sharing a run's traffic can share the rows.
 
-Each phase of a step is one pass: one over the sorted schedule to check
-it, one over the queues that carry a deadline (listed once by reset) to
-purge, one over the sorted schedule to serve and flag, and one over every
-node to admit arrivals, record the slot's queue lengths and build the
-observation of the next slot, which the step returns as next_obs.
+A step checks the schedule in two short passes, one over the ids' types
+and one over the sorted ids. Each phase after that is one pass: one over
+the queues that carry a deadline (listed once by reset) to purge, one over
+the sorted schedule to serve and flag, and one over every node to admit
+arrivals, record the slot's queue lengths and build the observation of the
+next slot, which the step returns as next_obs.
 
 A step does no numpy work. Each run's per-slot records, its queue
 lengths and schedule flags, live in flat buffers of steps x nodes entries,
@@ -152,6 +153,14 @@ def draw_arrivals(cfg: ScenarioConfig, streams: TrafficStreams) -> list[tuple[in
     return [generate_arrivals(cfg, t, streams) for t in range(cfg.steps)]
 
 
+def _int_ids(schedule: Sequence) -> list[int]:
+    """schedule's ids as Python ints, so served reports Python ints."""
+    for i in schedule:
+        if isinstance(i, bool) or not isinstance(i, Integral):
+            raise ValueError("schedule names a node by a bool or a non-integer id")
+    return [int(i) for i in schedule]
+
+
 def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> StepOutcome:
     """Advance one slot: purge expired packets, serve the schedule, inject arrivals, record.
 
@@ -160,15 +169,20 @@ def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> St
     arrivals per node as non-negative Python ints, as a row of
     draw_arrivals does. Service is one packet per scheduled node, in node
     order; a scheduled node with an empty queue wastes its slot. A rejected
-    schedule or row leaves the state untouched. The outcome carries the
-    observation of the next slot, equal to observe(state) after the step,
-    built while the arrivals are recorded.
+    schedule or row raises ValueError and leaves the state untouched. The
+    outcome carries the observation of the next slot, equal to
+    observe(state) after the step, built while the arrivals are recorded.
     """
     cfg = state.cfg
     t = state.t
     n = cfg.n_nodes
     if t >= cfg.steps:
         raise SimulationEnded(f"run is complete after {cfg.steps} slots")
+    # ids are type-checked before sorted or the range check compares them
+    for i in schedule:
+        if type(i) is not int:
+            schedule = _int_ids(schedule)
+            break
     order = sorted(schedule)
     if len(order) > cfg.max_scheduled:
         raise ValueError("schedule exceeds the per-slot transmission budget")
@@ -176,11 +190,6 @@ def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> St
         raise ValueError("schedule names an unknown node")
     previous = -1
     for i in order:
-        if type(i) is not int:
-            if isinstance(i, bool) or not isinstance(i, Integral):
-                raise ValueError("schedule names a node by a bool or a non-integer id")
-            # served reports Python ints; the loop goes on over the ids as given
-            order = [int(j) for j in order]
         if i == previous:
             raise ValueError("schedule names a node twice")
         previous = i

@@ -1,6 +1,15 @@
-"""Campaign mechanics: determinism, traffic pairing, aggregation, parallel equality."""
+"""Campaign mechanics: determinism, traffic pairing, aggregation, parallel equality, the worker pool."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,14 +216,154 @@ def test_only_dmwm_carries_a_decision_trace():
     assert by["lqf"].decision_trace is None
 
 
+def _assert_parallel_matches(workers, **grid):
+    sequential = run_experiment(**grid)
+    parallel = run_experiment(**grid, workers=workers)
+    assert len(sequential) == len(parallel)
+    for a, b in zip(sequential, parallel):
+        assert _records_equal(a, b), (grid.get("paired"), a.scenario, a.policy, a.run_index)
+    return parallel
+
+
+def _worker_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def test_parallel_workers_match_sequential():
     entries = builtin_entries(("default", "bursty"), steps=40)
     for paired in (True, False):
-        sequential = run_experiment(scenarios=entries, runs=3, paired=paired)
-        parallel = run_experiment(scenarios=entries, runs=3, paired=paired, workers=2)
-        assert len(sequential) == len(parallel) == 2 * len(POLICY_NAMES) * 3
-        for a, b in zip(sequential, parallel):
-            assert _records_equal(a, b), (paired, a.scenario, a.policy, a.run_index)
+        records = _assert_parallel_matches(2, scenarios=entries, runs=3, paired=paired)
+        assert len(records) == 2 * len(POLICY_NAMES) * 3
+    # another grid on the now-warm pool: other scenarios, policies, steps and runs
+    _assert_parallel_matches(
+        2,
+        scenarios=builtin_entries(("deadline", "interference"), steps=25, base_seed=9),
+        policies=("qlearn", "dmwm", "rr"),
+        runs=5,
+    )
+
+
+def test_parallel_calls_reuse_one_pool():
+    grid = dict(scenarios=builtin_entries(("default",), steps=20), policies=("lqf",), runs=4, workers=2)
+    run_experiment(**grid)
+    first = _worker_pids()
+    run_experiment(**grid)
+    assert len(first) == 2
+    assert _worker_pids() == first
+
+
+def test_changing_workers_replaces_the_pool(monkeypatch):
+    grid = dict(scenarios=builtin_entries(("default",), steps=20), policies=("lqf",), runs=4)
+    run_experiment(**grid, workers=2)
+    two = _worker_pids()
+    # the old pool is shut down and its workers joined before the new one starts
+    children_at_start = []
+
+    def recorded(*args, **kwargs):
+        children_at_start.append(_worker_pids())
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", recorded)
+    run_experiment(**grid, workers=3)
+    three = _worker_pids()
+    assert children_at_start == [set()]
+    assert len(two) == 2 and len(three) == 3
+    assert not any(_alive(pid) for pid in two)
+    run_experiment(**grid, workers=2)
+    assert len(_worker_pids()) == 2
+
+
+def test_pool_recovers_after_a_failed_job():
+    # run_experiment does not validate a config: one rate short, the arrival
+    # rows lack a node and step rejects the first of them inside a worker
+    cfg = builtin_scenario("default")
+    short = replace(cfg, lambda_base=cfg.lambda_base[:-1], steps=20)
+    with pytest.raises(ValueError, match="need one arrival count per node"):
+        run_experiment(scenarios=[("short", short)], policies=("lqf",), runs=4, workers=2)
+    _assert_parallel_matches(2, scenarios=builtin_entries(("bursty",), steps=30), policies=("lqf", "dmwm"), runs=3)
+
+
+def test_pool_recovers_after_a_worker_is_killed():
+    grid = dict(scenarios=builtin_entries(("default",), steps=30), policies=("lqf", "random"), runs=3)
+    run_experiment(**grid, workers=2)
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(10)
+    assert victim.exitcode == -signal.SIGKILL
+    sequential = run_experiment(**grid)
+    try:
+        parallel = run_experiment(**grid, workers=2)
+    except BrokenProcessPool:
+        pass
+    else:
+        assert len(parallel) == len(sequential)
+        assert all(_records_equal(a, b) for a, b in zip(sequential, parallel))
+    _assert_parallel_matches(2, **grid)
+
+
+def test_forked_child_does_not_inherit_the_pool():
+    run_experiment(scenarios=builtin_entries(("default",), steps=10), policies=("lqf",), runs=2, workers=2)
+    assert harness._pool is not None
+    pid = os.fork()
+    if pid == 0:  # the child: report, never return into pytest
+        os._exit(0 if harness._pool is None else 1)
+    deadline = time.monotonic() + 10
+    while (reaped := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert reaped[0] == pid and os.waitstatus_to_exitcode(reaped[1]) == 0
+    assert harness._pool is not None
+
+
+def test_pool_workers_exit_with_the_interpreter():
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import multiprocessing\n"
+        "from dualmind import run_experiment\n"
+        "run_experiment(scenarios=['default'], policies=['lqf'], runs=2, workers=2)\n"
+        "print(*sorted(p.pid for p in multiprocessing.active_children()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_alive(pid) for pid in pids)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"runs": True},
+        {"runs": 2.0},
+        {"runs": "3"},
+        {"workers": True},
+        {"workers": 2.0},
+        {"workers": None},
+        {"policies": ("lqf", "mws")},
+    ],
+    ids=["runs-bool", "runs-float", "runs-str", "workers-bool", "workers-float", "workers-none", "policy-name"],
+)
+def test_bad_grid_arguments_rejected_before_any_work(bad, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(harness, "run_episode", forbidden)
+    monkeypatch.setattr(harness, "_worker_pool", forbidden)
+    grid = {"scenarios": builtin_entries(("default",), steps=10), "policies": ("lqf",), "runs": 2, **bad}
+    with pytest.raises(ValueError):
+        run_experiment(**grid)
 
 
 def test_unknown_policy_rejected():

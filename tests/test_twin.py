@@ -235,7 +235,9 @@ def test_oversized_or_alien_schedule_rejected():
     state.queues[1].append(2)
     state.t = 3
     before = _snapshot(state)
-    for schedule in ((1.5,), (0, 1.0), (np.float64(1.0),), (-1,), (1, 1), (True,), (0, False)):
+    # a non-numeric id is rejected before sorting or the range check compares it
+    alien = ((1.5,), (0, 1.0), (np.float64(1.0),), (-1,), (1, 1), (True,), (0, False), ("a",), (None,), (0, "a"))
+    for schedule in alien:
         with pytest.raises(ValueError):
             step(state, schedule, quiet)
         assert _snapshot(state) == before, schedule
