@@ -1,9 +1,10 @@
 """Slotted wireless access scheduling testbed.
 
 A deterministic digital twin of a small slotted network, a dual-mind
-scheduler (short-horizon rollout planning over a feasibility-filtered
-candidate set, with a reactive urgency fallback), five baseline policies,
-and a campaign harness that aggregates metrics over seeded runs.
+scheduler (an exact search for the conflict-free set of eligible nodes
+that a short drain-only rollout scores best, with a reactive urgency
+fallback), five baseline policies, and a campaign harness that aggregates
+metrics over seeded runs.
 
 Every policy's decide(observation, rng) returns the slot's schedule as a
 sorted tuple of node ids; the dual-mind scheduler also logs a

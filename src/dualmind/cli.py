@@ -33,6 +33,7 @@ from .harness import (
     write_summary_csv,
     write_summary_json,
 )
+from .icn import conflict_masks
 from .twin import model_error_matrix
 
 OUT_DIR_ENV = "DUALMIND_OUT"
@@ -70,6 +71,19 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
     return validate_config(replace(cfg, **overrides))
 
 
+def _warn_if_never_planned(name: str, cfg: ScenarioConfig) -> None:
+    """One stderr line when no K nodes are pairwise free of conflicts: dmwm never plans.
+
+    The commands print it once their run has succeeded; it changes no output file.
+    """
+    if not conflict_masks(cfg).k_set_exists:
+        print(
+            f"warning: scenario {name} has no {cfg.max_scheduled} pairwise conflict-free nodes, "
+            "so dmwm's slow mind never plans and every slot goes to the fast mind",
+            file=sys.stderr,
+        )
+
+
 def _ensure_out(args: argparse.Namespace) -> Path:
     """Create --out; callers run first, so a rejected run leaves no directory behind."""
     out = Path(args.out)
@@ -92,6 +106,8 @@ def _run_and_write(
         paired=paired,
         workers=args.workers,
     )
+    for name, cfg in scenarios:
+        _warn_if_never_planned(name, cfg)
     aggs = aggregate(records)
     out = _ensure_out(args)
     write_runs_csv(out / "runs.csv", records)
@@ -144,6 +160,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(cfg, args)
     policy = make_policy("dmwm", cfg)
     record = run_episode(cfg, policy, args.run_index, scenario=name)
+    _warn_if_never_planned(name, cfg)
     out = _ensure_out(args)
     write_matrix_csv(out / "schedule.csv", record.schedule_matrix.astype(int))
     errors = model_error_matrix(record.queue_lengths, record.schedule_matrix)
@@ -161,6 +178,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_scenario_show(args: argparse.Namespace) -> int:
     name, cfg = _resolve_scenario(args.name)
+    _warn_if_never_planned(name, cfg)
     print(json.dumps(scenario_to_dict(cfg), indent=2, sort_keys=True))
     return 0
 

@@ -1,15 +1,15 @@
 """The dual-mind scheduler.
 
-The slow mind scores every feasible schedule by the packets a drain-only
-rollout of the observed queues would send over a short horizon, and keeps
-the best-scoring one, the first in lexicographic order among equals. It
-finds that schedule and counts the feasible ones in a single pass,
-icn.best_feasible, without listing them. Draining a set for H slots sends
-min(q_i, H) packets from each member i, so the score is a MaxWeight score
-with each weight capped at H; the tests step that rollout in
-tests/oracles.py and check the search against it. The fast mind is a
-queue-times-urgency fallback for slots where no feasible schedule exists.
-Every decision is logged so a run's planning behaviour can be audited.
+The slow mind keeps the feasible schedule that a drain-only rollout of the
+observed queues scores best over a short horizon H, the first in
+lexicographic order among equals. Draining a set for H slots sends
+min(q_i, H) packets from each member i: a MaxWeight score. So dmwm_decide
+weighs node i min(q_i, H) when it is backlogged and its head packet is
+within its deadline, else 0, ineligible; H >= 1, so an eligible node never
+weighs 0. icn.best_feasible finds the best conflict-free set under these
+weights and counts the feasible ones without listing them; the tests check
+it against the rollout in tests/oracles.py. The fast mind is a
+queue-times-urgency fallback for slots where no feasible set exists.
 """
 
 from __future__ import annotations
@@ -41,18 +41,18 @@ def fast_mind_select(
     zero urgency and may return fewer than k.
     """
     # loops and no closures, for the reason given in icn.best_feasible
-    urgency = []
+    rank = []  # minus each node's urgency
     for n, limit in zip(q, deadlines):
-        urgency.append(2 * n if limit is not None else n)
+        rank.append(-2 * n if limit is not None else -n)
     # sorted() is stable, so equal urgencies keep ascending node order
-    order = sorted(range(len(q)), key=[-u for u in urgency].__getitem__)
+    order = sorted(range(len(q)), key=rank.__getitem__)
     if not conflict_aware:
         return tuple(sorted(order[:k]))
     chosen: list[int] = []
     for i in order:
         if len(chosen) == k:
             break
-        if urgency[i] == 0:
+        if rank[i] == 0:
             continue
         for j in chosen:
             if conflicts.contains(i, j):
@@ -76,19 +76,24 @@ class DecisionRecord(NamedTuple):
     best_reward: int | None
 
 
-def dmwm_decide(
-    obs: Observation, cfg: ScenarioConfig, masks: ConflictMasks | None = None
-) -> DecisionRecord:
+def dmwm_decide(obs: Observation, cfg: ScenarioConfig, masks: ConflictMasks) -> DecisionRecord:
     """One slot's decision: slow mind whenever any feasible schedule exists, else fast mind.
 
     The record's nodes are the schedule to apply, as a sorted tuple. masks
-    are icn.conflict_masks(cfg), built here when not given.
+    are icn.conflict_masks(cfg).
     """
-    if masks is None:
-        masks = conflict_masks(cfg)
-    count, schedule, score = best_feasible(
-        cfg.max_scheduled, obs.q, obs.oldest_age, cfg.deadlines, masks, cfg.horizon
-    )
+    count = 0
+    if masks.k_set_exists:  # else no slot can plan
+        horizon, ages, deadlines = cfg.horizon, obs.oldest_age, cfg.deadlines
+        weights = [0] * len(ages)
+        i = 0  # a plain loop, for the reason given in icn.best_feasible
+        for q in obs.q:
+            if q:
+                limit = deadlines[i]
+                if limit is None or ages[i] <= limit:
+                    weights[i] = q if q < horizon else horizon
+            i += 1
+        count, schedule, score = best_feasible(cfg.max_scheduled, weights, masks)
     if count:
         return DecisionRecord(obs.t, Provenance.SLOW_MIND, schedule, count, score)
     picked = fast_mind_select(

@@ -41,7 +41,7 @@ from .baselines import (
     QLearningPolicy,
     RandomPolicy,
 )
-from .core import BUILTIN_SCENARIOS, ScenarioConfig, builtin_scenario
+from .core import BUILTIN_SCENARIOS, ScenarioConfig, builtin_scenario, validate_config
 from .dmwm import DecisionRecord, DmwmScheduler
 from .traffic import policy_stream, traffic_streams
 from .twin import RunMetrics, draw_arrivals, metrics, observe, reset, step
@@ -226,8 +226,9 @@ def run_experiment(
     worker count. Scenario entries may be builtin names or (label, config)
     pairs. Every config runs exactly as given: to change its seed, steps or
     horizon, pass dataclasses.replace(cfg, ...) instead. A bad runs or
-    workers value or an unknown policy name raises ValueError before any
-    episode runs. With workers > 1 the jobs run on the process's shared
+    workers value or an unknown policy name raises ValueError, and a config
+    that fails validate_config raises InvalidConfig, before any episode runs
+    or any worker starts. With workers > 1 the jobs run on the process's shared
     worker pool (see the module docstring).
     """
     _check_count("runs", runs, "need at least one run")
@@ -236,6 +237,8 @@ def run_experiment(
     for name in policies:
         _policy_factory(name)  # an unknown name fails here, before any work starts
     resolved = [(item, builtin_scenario(item)) if isinstance(item, str) else item for item in scenarios]
+    for _, cfg in resolved:
+        validate_config(cfg)
     jobs = [(name, cfg, policies, run_index, paired) for name, cfg in resolved for run_index in range(runs)]
     if workers > 1:
         pool = _worker_pool(workers)

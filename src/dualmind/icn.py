@@ -1,16 +1,17 @@
 """Feasibility of candidate schedules, and the slow mind's exact search over them.
 
-A schedule is feasible when every member has a backlog, no member's head
-packet has outlived its deadline, and no two members interfere.
+The search sees each node only as a non-negative int weight: a schedule is
+feasible when every member has positive weight and no two members
+interfere, and scores the sum of its members' weights. Eligibility and
+weights are the planner's rule, stated in dmwm.
 
-best_feasible is what the planner runs each slot. It makes one pass over the
-eligible nodes (backlogged, head within its deadline) in ascending id order
-and returns the number of feasible K-sets, the best of them under the slow
-mind's score and that score, without listing the sets. Its cost follows the
-number of distinct partial states, which for sparse conflict graphs stays
-small at N = 32 where the K-sets number tens of thousands. The conflict
-graph enters as per-node bitmasks that conflict_masks builds once per config.
-The tests check it against oracles that list and score every set.
+best_feasible, which the planner runs each slot, makes one pass over the
+eligible nodes in ascending id order and returns the number of feasible
+K-sets, the best of them and its score, without listing the sets. Its cost
+follows the number of distinct partial states, which for sparse conflict
+graphs stays small at N = 32 where the K-sets number tens of thousands. The
+conflict graph enters as per-node bitmasks that conflict_masks builds once
+per config. The tests check it against oracles that list every set.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from .core import ScenarioConfig
 
 @dataclass(frozen=True)
 class ConflictMasks:
-    """A config's conflict graph as the bitmasks best_feasible reads.
+    """A config's conflict graph as bitmasks, for the planner and best_feasible.
 
     later[i] holds bit j for each node j > i that conflicts with node i.
     clique[i] is the bit of node i's clique in a greedy clique cover of the
     graph. k_set_exists is False when no max_scheduled nodes are pairwise
-    free of conflicts, whatever the queues: every slot then goes to the
-    fast mind.
+    free of conflicts, whatever the queues: the planner then skips the
+    search and every slot goes to the fast mind.
     """
 
     later: tuple[int, ...]
@@ -38,60 +39,54 @@ class ConflictMasks:
 
 
 def best_feasible(
-    k: int,
-    q: Sequence[int],
-    oldest_age: Sequence[int | None],
-    deadlines: Sequence[int | None],
-    masks: ConflictMasks,
-    horizon: int,
+    k: int, weights: Sequence[int], masks: ConflictMasks
 ) -> tuple[int, tuple[int, ...] | None, int | None]:
     """(feasible_count, schedule, score) over the feasible k-sets; (0, None, None) if none.
 
-    The score of a set is the sum of min(q_i, horizon) over its members,
+    weights holds one non-negative int per node, 0 for a node that may not
+    be scheduled. The score of a set is the sum of its members' weights,
     and the schedule is the first set in lexicographic order with the
     highest score. masks is conflict_masks(cfg) for the config's conflict
     graph.
 
-    Two bounds end a slot early: the config has no conflict-free k-set at
-    all, or the eligible nodes meet fewer than k cliques of the masks'
-    clique cover, and a conflict-free set holds at most one node of each.
-
-    Otherwise one pass visits the eligible nodes in ascending order. A
-    state is the number c of members taken so far plus the bitmask of later
-    eligible nodes that a taken member conflicts with, packed as
-    c << n | mask. Each state holds how many prefixes reach it and the best
-    of them. Prefixes that reach one state have the same completions, so
-    the best prefix, the highest score with the lexicographically first
-    members at that score, makes the best set through that state. A node is
-    skipped only while enough eligible nodes remain to finish the set, and
-    taken only when no taken member blocks it; a set that reaches k
-    members adds its ways to the count and competes for the best.
+    A slot ends early when the eligible nodes, those of positive weight,
+    meet fewer than k cliques of the masks' clique cover: a conflict-free
+    set holds at most one node of each. Otherwise one pass visits the
+    eligible nodes in ascending order. A state is the number c of members
+    taken so far plus the bitmask of later eligible nodes that a taken
+    member conflicts with, packed as c << n | mask. Each state holds how
+    many prefixes reach it and the best of them. Prefixes that reach one
+    state have the same completions, so the best prefix, the highest score
+    with the lexicographically first members at that score, makes the best
+    set through that state. A node is skipped only while enough eligible
+    nodes remain to finish the set, and taken only when no taken member
+    blocks it; a set that reaches k members adds its ways to the count and
+    competes for the best.
 
     Each state's value is one integer, ((score << n | members) << n) | ways,
     where node i sets bit n - 1 - i of members. Of two sets of equal size
     the lexicographically first holds the lowest node where they differ,
     so it has the larger members field: the largest value is the best set.
-    Taking node i adds its weight and bit in one addition. Ways never
-    exceed C(n, c) < 2**n, so merging two states adds their ways without
-    a carry and keeps the larger rest.
+    Taking node i adds its weight and bit in one addition. The score field
+    is the top one and unbounded, so any int weight fits; a float does not.
+    Ways never exceed C(n, c) < 2**n, so merging two states adds their ways
+    without a carry and keeps the larger rest.
     """
-    if not masks.k_set_exists:
-        return 0, None, None
     later, clique = masks.later, masks.clique
     # Plain loops, not comprehensions: on CPython 3.11 each comprehension
     # call allocates a function object, plus a cell for every enclosing
     # local it reads. Both are objects the cyclic garbage collector tracks,
     # and the fewer a decision allocates, the less often a collection pause
     # lands inside it.
-    n = len(q)
+    n = len(weights)
     eligible = []
-    elig = hit = 0
-    for i in range(n):
-        limit, age = deadlines[i], oldest_age[i]
-        if q[i] > 0 and (limit is None or age is None or age <= limit):
+    elig = hit = i = 0
+    for w in weights:
+        if w:
             eligible.append(i)
             elig |= 1 << i
             hit |= clique[i]
+        i += 1
     if hit.bit_count() < k:
         return 0, None, None
     ways = (1 << n) - 1  # v & ways is the ways field of a state's value v
@@ -104,8 +99,7 @@ def best_feasible(
     for i in eligible:
         bit = 1 << i
         keep += one
-        w = q[i]
-        gain = ((w if w < horizon else horizon) << n2) | (1 << (n2 - 1 - i))
+        gain = (weights[i] << n2) | (1 << (n2 - 1 - i))
         block = later[i] & elig
         nxt = {}
         for s, v in states.items():
@@ -165,5 +159,5 @@ def conflict_masks(cfg: ScenarioConfig) -> ConflictMasks:
             clique.append(1 << len(cliques))
             cliques.append(1 << i)
     masks = ConflictMasks(tuple(later), tuple(clique), k_set_exists=True)
-    everyone = best_feasible(cfg.max_scheduled, (1,) * n, (None,) * n, (None,) * n, masks, 1)
+    everyone = best_feasible(cfg.max_scheduled, (1,) * n, masks)
     return masks if everyone[0] else replace(masks, k_set_exists=False)

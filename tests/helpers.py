@@ -5,9 +5,11 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from dualmind.core import BUILTIN_SCENARIOS, ConflictGraph, ScenarioConfig, builtin_scenario
-from dualmind.icn import best_feasible, conflict_masks
+from dualmind.core import BUILTIN_SCENARIOS, ConflictGraph, Provenance, ScenarioConfig, builtin_scenario
+from dualmind.dmwm import dmwm_decide
+from dualmind.icn import conflict_masks
 from dualmind.traffic import TrafficStreams, generate_arrivals
+from dualmind.twin import Observation
 
 # SHA-256 of the seed-42 CLI outputs; a change here is a change in results.
 GOLDEN_SHA256 = json.loads((Path(__file__).parent / "golden" / "sha256.json").read_text())
@@ -97,6 +99,13 @@ def random_state(rng, n, zero_share, density):
 
 
 def search(k, q, oldest_age, deadlines, pairs, horizon):
-    """icn.best_feasible on a hand-made state, its masks built from pairs."""
-    masks = conflict_masks(make_cfg(n_nodes=len(q), max_scheduled=k, pairs=pairs))
-    return best_feasible(k, q, oldest_age, deadlines, masks, horizon)
+    """The slow mind's (feasible_count, schedule, score) on a hand-made state.
+
+    It asks dmwm_decide, so the planner's own weights feed icn.best_feasible;
+    a fast-mind decision reads as (0, None, None), as best_feasible has it.
+    """
+    cfg = make_cfg(n_nodes=len(q), max_scheduled=k, horizon=horizon, deadlines=deadlines, pairs=pairs)
+    record = dmwm_decide(Observation(tuple(q), tuple(oldest_age), 0), cfg, conflict_masks(cfg))
+    if record.provenance is Provenance.FAST_MIND:
+        return 0, None, None
+    return record.feasible_count, record.nodes, record.best_reward

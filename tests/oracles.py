@@ -51,7 +51,7 @@ def drain_rollout(q, schedule, horizon):
 
 
 def first_best(k, q, oldest_age, deadlines, pairs, horizon, score=attrgetter("reward")):
-    """(feasible count, schedule, score) as icn.best_feasible returns them.
+    """(feasible count, schedule, score) as the slow mind's search returns them.
 
     Each feasible k-set is scored on its drain rollout, by the packets sent
     unless score says otherwise; the schedule is the first set in

@@ -19,6 +19,36 @@ def test_scenario_show_round_trips(capsys):
     assert printed == scenario_to_dict(builtin_scenario("deadline"))
 
 
+_NEVER_PLANNED = "warning: scenario interference has no 3 pairwise conflict-free nodes"
+
+
+def test_scenario_show_warns_when_no_conflict_free_set_exists(capsys):
+    assert main(["scenario", "show", "interference"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == scenario_to_dict(builtin_scenario("interference"))
+    assert captured.err.startswith(_NEVER_PLANNED) and captured.err.count("\n") == 1
+    for name in ("default", "bursty", "deadline"):
+        assert main(["scenario", "show", name]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_run_campaign_and_trace_warn_when_no_conflict_free_set_exists(tmp_path, capsys):
+    grid = ["--runs", "1", "--steps", "5"]
+    commands = {
+        "run": ["run", "--scenario", "interference"] + grid,
+        "campaign": ["campaign"] + grid,
+        "trace": ["trace", "--scenario", "interference"],
+    }
+    for command, args in commands.items():
+        assert main(args + ["--out", str(tmp_path / command)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(_NEVER_PLANNED) and err.count("\n") == 1, command  # once, for the ring only
+    assert main(["run", "--scenario", "default"] + grid + ["--out", str(tmp_path / "quiet")]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("schedule.csv", "model_error.csv", "queue_lengths.csv", "decisions.csv"):
+        assert sha256_of(tmp_path / "trace" / name) == GOLDEN_SHA256[f"trace --seed 42 {name}"]["interference"]
+
+
 def test_scenario_show_unknown(capsys):
     assert main(["scenario", "show", "rushhour"]) == 2
     err = capsys.readouterr().err

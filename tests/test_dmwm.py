@@ -1,13 +1,16 @@
 """Dual-mind scheduler: the slow mind's choice, the fallback, decision records."""
 
+from dataclasses import replace
 from math import comb
 
 import numpy as np
 
+from dualmind import dmwm
 from dualmind.baselines import lqf_select
 from dualmind.core import ConflictGraph, Provenance, ScenarioConfig, builtin_scenario, default_lambda
 from dualmind.dmwm import DecisionRecord, DmwmScheduler, dmwm_decide, fast_mind_select
 from dualmind.harness import run_episode
+from dualmind.icn import best_feasible, conflict_masks
 from dualmind.twin import Observation, reset, step
 from helpers import make_cfg, search
 from oracles import drain_rollout, feasible_sets, first_best
@@ -18,7 +21,7 @@ def test_rollout_served_hand_check():
     cfg = make_cfg(n_nodes=2, max_scheduled=1, lam=0.0, steps=4)
     state = reset(cfg)
     obs = step(state, (), (3, 1)).next_obs
-    record = dmwm_decide(obs, cfg)
+    record = dmwm_decide(obs, cfg, conflict_masks(cfg))
     assert (record.nodes, record.feasible_count, record.best_reward) == ((0,), 2, 3)
     served = sum(len(step(state, record.nodes, (0, 0)).served) for _ in range(3))
     assert served == record.best_reward
@@ -30,11 +33,12 @@ def test_served_with_unit_horizon_equals_slot_reward():
     # At horizon 1 the slow mind's score is the packets the twin sends in the slot.
     rng = np.random.default_rng(77)
     cfg = make_cfg(lam=0.0, steps=2, horizon=1, pairs=[(0, 1), (2, 3)])
+    masks = conflict_masks(cfg)
     planned = 0
     for _ in range(100):
         state = reset(cfg)
         obs = step(state, (), tuple(int(v) for v in rng.integers(0, 4, size=5))).next_obs
-        record = dmwm_decide(obs, cfg)
+        record = dmwm_decide(obs, cfg, masks)
         if record.provenance is Provenance.SLOW_MIND:
             planned += 1
             assert record.best_reward == len(step(state, record.nodes, (0,) * 5).served)
@@ -43,7 +47,8 @@ def test_served_with_unit_horizon_equals_slot_reward():
 
 def test_slow_mind_empty_feasible_gives_none():
     assert search(2, (3, 1), (0, 0), (None, None), [(0, 1)], 3) == (0, None, None)
-    record = dmwm_decide(_obs((3, 1)), make_cfg(n_nodes=2, max_scheduled=2, pairs=[(0, 1)]))
+    cfg = make_cfg(n_nodes=2, max_scheduled=2, pairs=[(0, 1)])
+    record = dmwm_decide(_obs((3, 1)), cfg, conflict_masks(cfg))
     assert (record.provenance, record.feasible_count, record.best_reward) == (Provenance.FAST_MIND, 0, None)
 
 
@@ -56,6 +61,53 @@ def test_slow_mind_tie_keeps_enumeration_order():
     assert search(1, (2, 2), (0, 0), (None, None), (), 1) == (2, (0,), 1)
     # (1, 2), (1, 3) and (2, 3) all send six packets over three steps
     assert search(2, (1, 5, 5, 5), (0,) * 4, (None,) * 4, (), 3) == (6, (1, 2), 6)
+
+
+def _spy_on_weights(monkeypatch):
+    """Record the weights dmwm_decide hands to best_feasible, one list per search."""
+    seen = []
+
+    def spy(k, weights, masks):
+        seen.append(list(weights))
+        return best_feasible(k, weights, masks)
+
+    monkeypatch.setattr(dmwm, "best_feasible", spy)
+    return seen
+
+
+def test_planner_weights_are_python_ints(monkeypatch):
+    # The search packs each score into one int; a float weight would corrupt it.
+    seen = _spy_on_weights(monkeypatch)
+    for name in ("default", "deadline", "bursty"):
+        cfg = replace(builtin_scenario(name), steps=80)
+        run_episode(cfg, DmwmScheduler(cfg), run_index=0)
+    weights = [w for search in seen for w in search]
+    assert len(seen) == 3 * 80
+    assert all(type(w) is int for w in weights)
+    assert 0 in weights and max(weights) == cfg.horizon  # ineligible nodes and the cap both occur
+
+
+def test_expired_head_scores_zero_even_with_live_packets_behind_it(monkeypatch):
+    # The twin purges only the expired head, but the planner drops the whole
+    # node (ROADMAP open item 4). Pinned so that fixing it shows as a change.
+    cfg = make_cfg(n_nodes=2, max_scheduled=1, lam=0.0, steps=5, deadlines=(2, None))
+    state = reset(cfg)
+    step(state, (), (1, 0))  # slot 0: node 0's head arrives
+    step(state, (), (2, 1))  # slot 1: two packets behind it, one at node 1
+    obs = step(state, (), (0, 0)).next_obs
+    assert (obs.q, obs.oldest_age) == ((3, 1), (3, 2))  # node 0's head is past its deadline
+    seen = _spy_on_weights(monkeypatch)
+    record = dmwm_decide(obs, cfg, conflict_masks(cfg))
+    assert seen == [[0, 1]]
+    assert (record.nodes, record.best_reward) == ((1,), 1)
+    assert step(state, (0,), (0, 0)).served == (0,)  # yet the twin would serve node 0
+
+
+def test_no_search_when_no_conflict_free_k_set_exists(monkeypatch):
+    cfg = builtin_scenario("interference")
+    seen = _spy_on_weights(monkeypatch)
+    record = dmwm_decide(_obs((4,) * 5), cfg, conflict_masks(cfg))
+    assert seen == [] and record.provenance is Provenance.FAST_MIND
 
 
 def test_fast_mind_urgency_doubling():
@@ -114,7 +166,7 @@ def _obs(q, ages=None, t=0):
 
 def test_decide_uses_slow_mind_when_feasible():
     cfg = make_cfg()
-    record = dmwm_decide(_obs((2, 2, 2, 2, 2)), cfg)
+    record = dmwm_decide(_obs((2, 2, 2, 2, 2)), cfg, conflict_masks(cfg))
     assert record.provenance is Provenance.SLOW_MIND
     assert record.feasible_count == 10
     assert len(record.nodes) == 3
@@ -122,7 +174,7 @@ def test_decide_uses_slow_mind_when_feasible():
 
 def test_decide_falls_back_when_too_few_backlogged():
     cfg = make_cfg()
-    record = dmwm_decide(_obs((3, 0, 0, 0, 1)), cfg)
+    record = dmwm_decide(_obs((3, 0, 0, 0, 1)), cfg, conflict_masks(cfg))
     assert record.provenance is Provenance.FAST_MIND
     assert record.feasible_count == 0
     assert record.best_reward is None
@@ -132,9 +184,10 @@ def test_decide_falls_back_when_too_few_backlogged():
 def test_slow_mind_actions_never_conflict():
     rng = np.random.default_rng(13)
     cfg = make_cfg(pairs=[(0, 1), (2, 3)])
+    masks = conflict_masks(cfg)
     for _ in range(200):
         q = tuple(int(rng.integers(0, 6)) for _ in range(5))
-        record = dmwm_decide(_obs(q), cfg)
+        record = dmwm_decide(_obs(q), cfg, masks)
         if record.provenance is Provenance.SLOW_MIND:
             members = record.nodes
             for a in members:
@@ -146,13 +199,14 @@ def test_slow_mind_actions_never_conflict():
 def test_provenance_matches_feasibility():
     rng = np.random.default_rng(17)
     cfg = make_cfg(pairs=[(1, 2)], deadlines=(6, None, 6, None, 6))
+    masks = conflict_masks(cfg)
     for _ in range(200):
         q = tuple(int(rng.integers(0, 4)) for _ in range(5))
         ages = tuple(int(rng.integers(0, 9)) if q[i] > 0 else None for i in range(5))
         obs = _obs(q, ages)
         feasible = feasible_sets(cfg.max_scheduled, obs.q, obs.oldest_age, cfg.deadlines, cfg.conflict_graph.pairs)
         expected = Provenance.SLOW_MIND if feasible else Provenance.FAST_MIND
-        assert dmwm_decide(obs, cfg).provenance is expected
+        assert dmwm_decide(obs, cfg, masks).provenance is expected
 
 
 def test_scheduler_trace_grows_per_decision():
@@ -208,7 +262,7 @@ def _pairwise_config(n, k, steps):
 def test_pairwise_topology_at_32_nodes_counts_every_set_and_matches_the_oracle():
     cfg = _pairwise_config(32, 4, steps=40)
     everyone = _obs((2,) * 32)  # every node backlogged and within its deadline
-    record = dmwm_decide(everyone, cfg)
+    record = dmwm_decide(everyone, cfg, conflict_masks(cfg))
     assert record.feasible_count == comb(16, 4) * 2**4 == 29120  # one node from each of 4 pairs
     assert record == _oracle_decide(everyone, cfg)
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from dualmind import harness, twin
-from dualmind.core import builtin_scenario
+from dualmind.core import InvalidConfig, builtin_scenario
 from dualmind.harness import (
     POLICY_NAMES,
     RUN_COLUMNS,
@@ -281,14 +281,41 @@ def test_changing_workers_replaces_the_pool(monkeypatch):
     assert len(_worker_pids()) == 2
 
 
-def test_pool_recovers_after_a_failed_job():
-    # run_experiment does not validate a config: one rate short, the arrival
-    # rows lack a node and step rejects the first of them inside a worker
-    cfg = builtin_scenario("default")
-    short = replace(cfg, lambda_base=cfg.lambda_base[:-1], steps=20)
-    with pytest.raises(ValueError, match="need one arrival count per node"):
-        run_experiment(scenarios=[("short", short)], policies=("lqf",), runs=4, workers=2)
+class _FailingPolicy:
+    """A policy whose every decision raises."""
+
+    name = "boom"
+
+    def __init__(self, cfg):
+        pass
+
+    def decide(self, obs, rng):
+        raise RuntimeError("boom: this policy always fails")
+
+
+def test_pool_recovers_after_a_failed_job(monkeypatch):
+    # the workers must be forked after the patch to know the failing policy
+    monkeypatch.setitem(harness._POLICY_FACTORIES, "boom", _FailingPolicy)
+    if harness._pool is not None:
+        harness._pool.shutdown(wait=True)
+        harness._forget_pool()
+    with pytest.raises(RuntimeError, match="this policy always fails"):
+        run_experiment(scenarios=builtin_entries(("default",), steps=20), policies=("boom",), runs=4, workers=2)
+    assert harness._pool is None  # the failed call dropped its pool
     _assert_parallel_matches(2, scenarios=builtin_entries(("bursty",), steps=30), policies=("lqf", "dmwm"), runs=3)
+
+
+def test_invalid_scenario_entry_rejected_before_any_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the configs were checked")
+
+    monkeypatch.setattr(harness, "run_episode", forbidden)
+    monkeypatch.setattr(harness, "_worker_pool", forbidden)
+    cfg = builtin_scenario("default")
+    short = replace(cfg, lambda_base=cfg.lambda_base[:-1], steps=20)  # one rate short
+    for workers in (1, 2):
+        with pytest.raises(InvalidConfig, match="lambda_base"):
+            run_experiment(scenarios=["bursty", ("short", short)], policies=("lqf",), runs=4, workers=workers)
 
 
 def test_pool_recovers_after_a_worker_is_killed():

@@ -6,9 +6,39 @@ from math import comb
 import numpy as np
 
 from dualmind.core import builtin_scenario
-from dualmind.icn import conflict_masks
+from dualmind.icn import best_feasible, conflict_masks
 from helpers import make_cfg, random_state, search
 from oracles import drain_rollout, feasible_sets, first_best
+
+
+def _masks(n, k, pairs=()):
+    return conflict_masks(make_cfg(n_nodes=n, max_scheduled=k, pairs=pairs))
+
+
+def test_zero_weights_are_skipped():
+    assert best_feasible(2, (0, 5, 0, 1), _masks(4, 2)) == (1, (1, 3), 6)
+    assert best_feasible(2, (0, 5, 0, 0), _masks(4, 2)) == (0, None, None)
+    assert best_feasible(1, (0, 0, 0), _masks(3, 1)) == (0, None, None)
+
+
+def test_equal_weights_tie_to_the_lexicographically_first_set():
+    assert best_feasible(2, (2, 2, 2, 2), _masks(4, 2)) == (6, (0, 1), 4)
+    # (0, 1) conflicts, so (0, 2) is the first of five sets scoring 4
+    assert best_feasible(2, (2, 2, 2, 2), _masks(4, 2, [(0, 1)])) == (5, (0, 2), 4)
+    assert best_feasible(2, (1, 3, 3, 3), _masks(4, 2)) == (6, (1, 2), 6)
+
+
+def test_weights_are_scored_as_given():
+    # no cap or eligibility rule inside the search: those are the planner's
+    assert best_feasible(1, (7, 90, 9), _masks(3, 1)) == (3, (1,), 90)
+    assert best_feasible(2, (2**70, 1, 2**70), _masks(3, 2)) == (3, (0, 2), 2**71)
+
+
+def test_search_is_exact_where_no_conflict_free_k_set_exists():
+    masks = conflict_masks(builtin_scenario("interference"))  # 5-ring, K=3
+    assert not masks.k_set_exists
+    assert best_feasible(3, (1,) * 5, masks) == (0, None, None)
+    assert best_feasible(2, (1,) * 5, masks) == (5, (0, 2), 2)
 
 
 def test_rejects_empty_queue():
