@@ -6,6 +6,15 @@ constructed fresh for the next, so the learning baseline starts every run
 with an empty table. Policies that learn from outcomes implement
 update(schedule, outcome), where outcome.next_obs is the observation of the
 next slot; the rest leave it out and the harness skips the call.
+
+Per-slot cost on N nodes with K scheduled, so C(N, K) actions: random is one
+integer draw into the k-subsets listed once per run. lqf, deadline and rr
+rank the N nodes with one Python loop and a stable C sort, O(N log N).
+qlearn buckets the queues in O(N), then decides in O(1) on an unseen state
+and with one C-level max and index over the state's row on a seen one; its
+update runs one C-level max over the next state's row when that state was
+seen, and allocates one row of C(N, K) zeros for each new state. No
+baseline makes a Python pass over the action set.
 """
 
 from __future__ import annotations
@@ -32,7 +41,12 @@ def random_select(
 
 def lqf_select(q: Sequence[int], k: int) -> tuple[int, ...]:
     """The k longest queues; ties go to the smaller node id."""
-    order = sorted(range(len(q)), key=lambda i: (-q[i], i))
+    # loops and no closures, for the reason given in icn.best_feasible
+    rank = []  # minus each queue length
+    for length in q:
+        rank.append(-length)
+    # sorted() is stable, so equal lengths keep ascending node order
+    order = sorted(range(len(q)), key=rank.__getitem__)
     return tuple(sorted(order[:k]))
 
 
@@ -49,15 +63,14 @@ def deadline_priority_select(
     zero; plain queue length otherwise. Without deadlines this reduces to
     longest-queue-first.
     """
-    weights: list[float] = []
-    for i in range(len(q)):
-        limit = deadlines[i]
-        if limit is not None and q[i] > 0:
-            slack = max(limit - oldest_age[i], 0)
-            weights.append(q[i] * (1.0 + 1.0 / (slack + 1)))
+    rank: list[float] = []  # minus each weight
+    for length, age, limit in zip(q, oldest_age, deadlines):
+        if limit is not None and length > 0:
+            slack = max(limit - age, 0)
+            rank.append(-(length * (1.0 + 1.0 / (slack + 1))))
         else:
-            weights.append(float(q[i]))
-    order = sorted(range(len(q)), key=lambda i: (-weights[i], i))
+            rank.append(-float(length))
+    order = sorted(range(len(q)), key=rank.__getitem__)
     return tuple(sorted(order[:k]))
 
 
@@ -67,10 +80,14 @@ def fair_rr_select(q: Sequence[int], last: list[int], k: int, t: int) -> tuple[i
     last holds each node's most recent service slot, -1 for never served.
     Ties break by smaller node id. Sets last[i] = t for the chosen nodes.
     """
-    backlogged = sorted((i for i in range(len(q)) if q[i] > 0), key=lambda i: (last[i], i))
+    backlogged, idle = [], []
+    for i, length in enumerate(q):
+        (backlogged if length > 0 else idle).append(i)
+    # each list is in ascending id order and sort() is stable, so ties keep it
+    backlogged.sort(key=last.__getitem__)
     chosen = backlogged[:k]
     if len(chosen) < k:
-        idle = sorted((i for i in range(len(q)) if q[i] == 0), key=lambda i: (last[i], i))
+        idle.sort(key=last.__getitem__)
         chosen.extend(idle[: k - len(chosen)])
     for i in chosen:
         last[i] = t
@@ -96,16 +113,14 @@ def q_state_key(q: Sequence[int]) -> tuple[int, ...]:
 class QTable:
     """State-bucket to action-value table; unseen states read as all zeros.
 
-    Actions are k-subsets indexed by their lexicographic rank.
+    Actions are k-subsets indexed by their lexicographic rank. q_select and
+    q_update read an unseen state without storing a row; q_update stores one
+    for the state it backs up.
     """
 
     n_actions: int
     epsilon: float = Q_EPSILON
     entries: dict[tuple[int, ...], list[float]] = field(default_factory=dict)
-
-    def values(self, key: tuple[int, ...]) -> list[float]:
-        vals = self.entries.get(key)
-        return vals if vals is not None else [0.0] * self.n_actions
 
 
 def q_select(table: QTable, key: tuple[int, ...], rng: np.random.Generator) -> int:
@@ -113,20 +128,23 @@ def q_select(table: QTable, key: tuple[int, ...], rng: np.random.Generator) -> i
     resolve to the smallest index."""
     if rng.random() < table.epsilon:
         return int(rng.integers(table.n_actions))
-    vals = table.values(key)
-    best = 0
-    for idx in range(1, table.n_actions):
-        if vals[idx] > vals[best]:
-            best = idx
-    return best
+    vals = table.entries.get(key)
+    if vals is None:
+        return 0  # the first index of an all-zero row
+    # index finds the first value equal to the maximum; -0.0 == 0.0 ties too
+    return vals.index(max(vals))
 
 
 def q_update(
     table: QTable, key: tuple[int, ...], action: int, reward: float, next_key: tuple[int, ...]
 ) -> None:
     """One temporal-difference backup toward reward plus discounted best next value."""
-    vals = table.entries.setdefault(key, [0.0] * table.n_actions)
-    next_best = max(table.values(next_key))
+    entries = table.entries
+    vals = entries.get(key)
+    if vals is None:
+        vals = entries[key] = [0.0] * table.n_actions
+    next_vals = entries.get(next_key)
+    next_best = max(next_vals) if next_vals is not None else 0.0  # an unseen row is all zeros
     vals[action] += Q_ALPHA * (reward + Q_GAMMA * next_best - vals[action])
 
 

@@ -1,15 +1,23 @@
-"""The slow mind's test oracles, written from the definitions alone.
+"""Test oracles, written from the definitions alone.
 
 feasible_sets states the feasibility rule, drain_rollout the planner's
 imagined dynamics, and first_best the slow mind's choice built on the two:
 list every feasible set, roll each one out, keep the first best. They are
 slow on purpose. The planner's one-pass search, icn.best_feasible, never
 lists a set, and the tests check it against these.
+
+The baselines' reference copies follow: rankings by a (-weight, id) tuple
+key, and the Q-table's argmax and backup as a loop over a full row, with an
+unseen state read as a fresh all-zero row. dualmind.baselines ranks by a
+stable sort and reads unseen states without building a row; the tests check
+it against these, schedule for schedule and float for float.
 """
 
 from itertools import combinations
 from operator import attrgetter
 from typing import NamedTuple
+
+from dualmind.baselines import Q_ALPHA, Q_GAMMA
 
 
 def feasible_sets(k, q, oldest_age, deadlines, pairs):
@@ -65,3 +73,67 @@ def first_best(k, q, oldest_age, deadlines, pairs, horizon, score=attrgetter("re
         if top is None or value > top:
             best, top = s, value
     return len(sets), best, top
+
+
+def lqf_select(q, k):
+    """The k longest queues; ties go to the smaller node id."""
+    order = sorted(range(len(q)), key=lambda i: (-q[i], i))
+    return tuple(sorted(order[:k]))
+
+
+def deadline_priority_select(q, oldest_age, deadlines, k):
+    """Queue length scaled up as a node's head packet approaches its deadline.
+
+    Weight is q * (1 + 1 / (slack + 1)) for deadline-bearing nodes with a
+    backlog, where slack is the remaining head-of-queue lifetime floored at
+    zero; plain queue length otherwise.
+    """
+    weights = []
+    for i in range(len(q)):
+        limit = deadlines[i]
+        if limit is not None and q[i] > 0:
+            slack = max(limit - oldest_age[i], 0)
+            weights.append(q[i] * (1.0 + 1.0 / (slack + 1)))
+        else:
+            weights.append(float(q[i]))
+    order = sorted(range(len(q)), key=lambda i: (-weights[i], i))
+    return tuple(sorted(order[:k]))
+
+
+def fair_rr_select(q, last, k, t):
+    """Least-recently-served backlogged nodes first, padded with idle nodes;
+    ties break by smaller node id. Sets last[i] = t for the chosen nodes."""
+    backlogged = sorted((i for i in range(len(q)) if q[i] > 0), key=lambda i: (last[i], i))
+    chosen = backlogged[:k]
+    if len(chosen) < k:
+        idle = sorted((i for i in range(len(q)) if q[i] == 0), key=lambda i: (last[i], i))
+        chosen.extend(idle[: k - len(chosen)])
+    for i in chosen:
+        last[i] = t
+    return tuple(sorted(chosen))
+
+
+def q_values(table, key):
+    """The row of key in a baselines.QTable, or a fresh all-zero row for an unseen key."""
+    vals = table.entries.get(key)
+    return vals if vals is not None else [0.0] * table.n_actions
+
+
+def q_select(table, key, rng):
+    """Epsilon-greedy action index; the exploration gate draws first, then ties
+    resolve to the smallest index."""
+    if rng.random() < table.epsilon:
+        return int(rng.integers(table.n_actions))
+    vals = q_values(table, key)
+    best = 0
+    for idx in range(1, table.n_actions):
+        if vals[idx] > vals[best]:
+            best = idx
+    return best
+
+
+def q_update(table, key, action, reward, next_key):
+    """One temporal-difference backup toward reward plus discounted best next value."""
+    vals = table.entries.setdefault(key, [0.0] * table.n_actions)
+    next_best = max(q_values(table, next_key))
+    vals[action] += Q_ALPHA * (reward + Q_GAMMA * next_best - vals[action])

@@ -1,11 +1,14 @@
 """Baseline policies: selection rules, round-robin memory, Q-table mechanics."""
 
 import math
+from dataclasses import astuple
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import oracles
+from dualmind import baselines
 from dualmind.baselines import (
     DeadlinePriorityPolicy,
     FairRoundRobinPolicy,
@@ -21,7 +24,9 @@ from dualmind.baselines import (
     q_update,
     random_select,
 )
+from dualmind.core import ConflictGraph, ScenarioConfig, default_lambda, validate_config
 from dualmind.dmwm import DmwmScheduler
+from dualmind.harness import run_episode
 from dualmind.traffic import make_rng
 from dualmind.twin import Observation
 from helpers import make_cfg
@@ -193,3 +198,170 @@ def test_every_policy_returns_valid_actions(factory):
         assert list(schedule) == sorted(set(schedule))  # sorted, no repeated id
         assert len(schedule) <= cfg.max_scheduled
         assert all(0 <= i < cfg.n_nodes for i in schedule)
+
+
+def _reprs(table):
+    """A Q-table's keys in insertion order, each with the repr of every value in its row."""
+    return [(key, [repr(v) for v in row]) for key, row in table.entries.items()]
+
+
+def test_rankings_match_their_oracles_on_tied_queues():
+    rng = np.random.default_rng(18)
+    for trial in range(3000):
+        n = int(rng.integers(1, 17))
+        k = int(rng.integers(1, n + 2))  # k > n too
+        q = tuple(int(v) for v in rng.integers(0, 4, n))  # ties are the rule
+        ages = tuple(int(rng.integers(0, 12)) if v > 0 else None for v in q)
+        deadlines = tuple(int(rng.integers(0, 10)) if rng.random() < 0.5 else None for _ in range(n))
+        last = [int(v) for v in rng.integers(-1, 4, n)]
+        assert lqf_select(q, k) == oracles.lqf_select(q, k), trial
+        assert deadline_priority_select(q, ages, deadlines, k) == oracles.deadline_priority_select(
+            q, ages, deadlines, k
+        ), trial
+        ours, theirs = list(last), list(last)
+        assert fair_rr_select(q, ours, k, 9) == oracles.fair_rr_select(q, theirs, k, 9), trial
+        assert ours == theirs, trial
+
+
+def test_fair_rr_matches_its_oracle_over_a_run():
+    rng = np.random.default_rng(19)
+    ours, theirs = [-1] * 6, [-1] * 6
+    for t in range(500):
+        q = tuple(int(v) for v in rng.integers(0, 3, 6))
+        assert fair_rr_select(q, ours, 2, t) == oracles.fair_rr_select(q, theirs, 2, t), t
+        assert ours == theirs, t
+
+
+def test_deadline_priority_exact_float_tie_goes_to_the_smaller_id():
+    # q = 2 at slack 0 weighs 2 * (1 + 1/1) = 4.0, exactly q = 4 with no deadline
+    for q, ages, deadlines, expected in (
+        ((2, 4), (5, 3), (5, None), (0,)),
+        ((4, 2), (3, 5), (None, 5), (0,)),
+        ((1, 4, 2), (0, 3, 7), (None, None, 6), (1,)),
+    ):
+        assert deadline_priority_select(q, ages, deadlines, 1) == expected
+        assert oracles.deadline_priority_select(q, ages, deadlines, 1) == expected
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0.0, -0.0, 0.0],
+        [-0.0, 0.0, -0.0],
+        [-0.0, -0.0],
+        [-1.0, -0.0, 0.0, -0.0],
+        [2.5, 1.0, 2.5],  # repeated maximum at the first and last index
+        [1.0, 2.5, 0.0, 2.5],
+        [0.0, 0.0, 3.0, 3.0],
+        [-2.0, -1.0, -3.0, -1.0],
+        [0.7],  # a single action
+        [-0.0],
+    ],
+)
+def test_q_select_argmax_matches_its_oracle(row):
+    table = QTable(n_actions=len(row), epsilon=0.0)
+    table.entries[(1,)] = list(row)
+    rng_a, rng_b = make_rng(3), make_rng(3)
+    assert q_select(table, (1,), rng_a) == oracles.q_select(table, (1,), rng_b)
+    assert rng_a.random() == rng_b.random()
+
+
+def test_q_select_matches_its_oracle_on_random_tables():
+    rng = np.random.default_rng(20)
+    levels = (-1.0, -0.0, 0.0, 0.5, 1.0)
+    for trial in range(2000):
+        n_actions = int(rng.integers(1, 7))
+        table = QTable(n_actions=n_actions, epsilon=float(rng.choice((0.0, 0.2, 1.0))))
+        for key in range(3):
+            if rng.random() < 0.7:
+                table.entries[(key,)] = [levels[int(i)] for i in rng.integers(0, len(levels), n_actions)]
+        key = (int(rng.integers(0, 4)),)  # (3,) is never seen
+        seed = int(rng.integers(0, 2**32))
+        rng_a, rng_b = make_rng(seed), make_rng(seed)
+        assert q_select(table, key, rng_a) == oracles.q_select(table, key, rng_b), trial
+        assert rng_a.random() == rng_b.random(), trial
+
+
+def test_q_update_matches_its_oracle_on_random_backups():
+    rng = np.random.default_rng(21)
+    for trial in range(300):
+        n_actions = int(rng.integers(1, 5))
+        ours, theirs = QTable(n_actions=n_actions), QTable(n_actions=n_actions)
+        if rng.random() < 0.5:  # a seen row of signed zeros
+            ours.entries[(0,)] = [(-0.0, 0.0)[int(i)] for i in rng.integers(0, 2, n_actions)]
+            theirs.entries[(0,)] = list(ours.entries[(0,)])
+        for _ in range(20):
+            key, next_key = (int(rng.integers(0, 4)),), (int(rng.integers(0, 4)),)
+            action = int(rng.integers(0, n_actions))
+            reward = int(rng.integers(0, 4)) if rng.random() < 0.8 else float(rng.choice((-0.0, 0.5)))
+            q_update(ours, key, action, reward, next_key)
+            oracles.q_update(theirs, key, action, reward, next_key)
+            assert _reprs(ours) == _reprs(theirs), trial
+
+
+def test_q_update_unseen_key_that_is_also_the_next_key():
+    ours, theirs = QTable(n_actions=3), QTable(n_actions=3)
+    q_update(ours, (7,), 2, 3, (7,))
+    oracles.q_update(theirs, (7,), 2, 3, (7,))
+    assert _reprs(ours) == _reprs(theirs) == [((7,), ["0.0", "0.0", "0.30000000000000004"])]
+
+
+def _planner_scale_config():
+    """16 nodes, K=4, conflict pairs (0,1),...,(14,15), a 10-slot deadline on even nodes."""
+    return validate_config(
+        ScenarioConfig(
+            n_nodes=16,
+            max_scheduled=4,
+            buffer=50,
+            steps=200,
+            horizon=3,
+            lambda_base=default_lambda(16),
+            deadlines=tuple(10 if i % 2 == 0 else None for i in range(16)),
+            conflict_graph=ConflictGraph.from_pairs((i, i + 1) for i in range(0, 15, 2)),
+            base_seed=42,
+        )
+    )
+
+
+class _Recorder:
+    """Passes decide/update through to a policy and keeps each schedule and the policy stream."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.schedules = []
+        self.rng = None
+        if hasattr(inner, "update"):
+            self.update = inner.update
+
+    def decide(self, obs, rng):
+        self.rng = rng
+        schedule = self.inner.decide(obs, rng)
+        self.schedules.append(schedule)
+        return schedule
+
+
+def _episode(factory, cfg):
+    recorder = _Recorder(factory(cfg))
+    record = run_episode(cfg, recorder, 0, scenario="planner_scale")
+    return recorder, record
+
+
+@pytest.mark.parametrize(
+    "factory", [RandomPolicy, LqfPolicy, DeadlinePriorityPolicy, FairRoundRobinPolicy, QLearningPolicy]
+)
+def test_baselines_match_their_oracles_on_the_16_node_episode(factory, monkeypatch):
+    cfg = _planner_scale_config()
+    with monkeypatch.context() as m:
+        for name in ("lqf_select", "deadline_priority_select", "fair_rr_select", "q_select", "q_update"):
+            m.setattr(baselines, name, getattr(oracles, name))
+        reference, reference_record = _episode(factory, cfg)
+    ours, record = _episode(factory, cfg)
+    assert len(ours.schedules) == cfg.steps
+    assert ours.schedules == reference.schedules
+    assert np.array_equal(record.schedule_matrix, reference_record.schedule_matrix)
+    assert repr(astuple(record.metrics)) == repr(astuple(reference_record.metrics))
+    if factory is QLearningPolicy:
+        assert len(ours.inner.table.entries) > 1
+        assert _reprs(ours.inner.table) == _reprs(reference.inner.table)
+        assert ours.rng.random() == reference.rng.random()
