@@ -10,11 +10,11 @@ next slot; the rest leave it out and the harness skips the call.
 Per-slot cost on N nodes with K scheduled, so C(N, K) actions: random is one
 integer draw into the k-subsets listed once per run. lqf, deadline and rr
 rank the N nodes with one Python loop and a stable C sort, O(N log N).
-qlearn buckets the queues in O(N), then decides in O(1) on an unseen state
-and with one C-level max and index over the state's row on a seen one; its
-update runs one C-level max over the next state's row when that state was
-seen, and allocates one row of C(N, K) zeros for each new state. No
-baseline makes a Python pass over the action set.
+qlearn buckets the queues in O(N). A row stores only the actions backed up
+in its state, so decide and update each cost O(len(row)) on the rows they
+read (one entry per distinct action taken in that state), and a new state
+costs one empty dict. No baseline's decide or update makes a pass over the
+action set.
 """
 
 from __future__ import annotations
@@ -111,16 +111,36 @@ def q_state_key(q: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass
 class QTable:
-    """State-bucket to action-value table; unseen states read as all zeros.
+    """State-bucket to action-value table; every value not stored reads 0.0.
 
-    Actions are k-subsets indexed by their lexicographic rank. q_select and
-    q_update read an unseen state without storing a row; q_update stores one
-    for the state it backs up.
+    Actions are k-subsets indexed by their lexicographic rank. A state's row
+    maps each action backed up in that state to its value; an unseen state
+    has no row. q_select and q_update read an unseen state without storing
+    a row; q_update stores one for the state it backs up.
     """
 
     n_actions: int
     epsilon: float = Q_EPSILON
-    entries: dict[tuple[int, ...], list[float]] = field(default_factory=dict)
+    entries: dict[tuple[int, ...], dict[int, float]] = field(default_factory=dict)
+
+
+def _first_best(row: dict[int, float], n_actions: int) -> int:
+    """The first index of the row's maximum over all n_actions actions, an
+    unstored action counting as 0.0 (and -0.0 == 0.0, as in a dense max)."""
+    if row:
+        top = max(row.values())
+        if top > 0.0 or len(row) == n_actions:
+            best = n_actions
+            for action, value in row.items():
+                if value == top and action < best:
+                    best = action
+            return best
+    # the maximum is zero, held by every unstored action and any stored
+    # signed zero; only the stored negatives before the first of them are skipped
+    action = 0
+    while row.get(action, 0.0) < 0.0:
+        action += 1
+    return action
 
 
 def q_select(table: QTable, key: tuple[int, ...], rng: np.random.Generator) -> int:
@@ -128,11 +148,10 @@ def q_select(table: QTable, key: tuple[int, ...], rng: np.random.Generator) -> i
     resolve to the smallest index."""
     if rng.random() < table.epsilon:
         return int(rng.integers(table.n_actions))
-    vals = table.entries.get(key)
-    if vals is None:
+    row = table.entries.get(key)
+    if row is None:
         return 0  # the first index of an all-zero row
-    # index finds the first value equal to the maximum; -0.0 == 0.0 ties too
-    return vals.index(max(vals))
+    return _first_best(row, table.n_actions)
 
 
 def q_update(
@@ -140,12 +159,16 @@ def q_update(
 ) -> None:
     """One temporal-difference backup toward reward plus discounted best next value."""
     entries = table.entries
-    vals = entries.get(key)
-    if vals is None:
-        vals = entries[key] = [0.0] * table.n_actions
-    next_vals = entries.get(next_key)
-    next_best = max(next_vals) if next_vals is not None else 0.0  # an unseen row is all zeros
-    vals[action] += Q_ALPHA * (reward + Q_GAMMA * next_best - vals[action])
+    row = entries.get(key)
+    if row is None:
+        row = entries[key] = {}  # before next_key is read, which may be key
+    next_row = entries.get(next_key)
+    next_best = 0.0  # an unseen row is all zeros
+    if next_row is not None:
+        # the value at the first best index, so -0.0 and 0.0 resolve as max() over a dense row would
+        next_best = next_row.get(_first_best(next_row, table.n_actions), 0.0)
+    old = row.get(action, 0.0)
+    row[action] = old + Q_ALPHA * (reward + Q_GAMMA * next_best - old)
 
 
 class RandomPolicy:

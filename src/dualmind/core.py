@@ -112,6 +112,12 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
 
     Raises InvalidConfig naming the offending field.
     """
+    for f in dataclasses.fields(cfg):
+        # run_experiment caches each run's traffic under the config as a key
+        try:
+            hash(getattr(cfg, f.name))
+        except TypeError:
+            raise InvalidConfig(f.name, "must be hashable: use tuples and frozensets, not lists or sets") from None
     if cfg.n_nodes < 1:
         raise InvalidConfig("N", "need at least one node")
     if cfg.max_scheduled < 1:

@@ -129,8 +129,9 @@ def run_episode(
     The policy sees observe(state) at slot 0 and, after that, each step's
     next_obs, which equals observe(state) after the step. Pass a fresh
     policy per episode: stateful policies carry memory across decide()
-    calls.
+    calls. A run_index that is not a non-negative int raises ValueError.
     """
+    _check_int("run_index", run_index)
     if run_index < 0:
         raise ValueError(f"run_index must be non-negative, got {run_index}")
     rows = _arrival_rows(cfg, run_index, traffic_salt)
@@ -206,9 +207,14 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     return _pool
 
 
-def _check_count(name: str, value, below_one: str) -> None:
+def _check_int(name: str, value) -> None:
+    # a bool is an int to isinstance, but would be recorded and written as True
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_count(name: str, value, below_one: str) -> None:
+    _check_int(name, value)
     if value < 1:
         raise ValueError(below_one)
 

@@ -7,10 +7,11 @@ slow on purpose. The planner's one-pass search, icn.best_feasible, never
 lists a set, and the tests check it against these.
 
 The baselines' reference copies follow: rankings by a (-weight, id) tuple
-key, and the Q-table's argmax and backup as a loop over a full row, with an
-unseen state read as a fresh all-zero row. dualmind.baselines ranks by a
-stable sort and reads unseen states without building a row; the tests check
-it against these, schedule for schedule and float for float.
+key, and the Q-table's argmax and backup as a loop over a full list row of
+n_actions values, with an unseen state read as a fresh all-zero row.
+dualmind.baselines ranks by a stable sort and stores in each row only the
+actions backed up there; the tests check it against these, schedule for
+schedule and float for float.
 """
 
 from itertools import combinations
@@ -114,7 +115,7 @@ def fair_rr_select(q, last, k, t):
 
 
 def q_values(table, key):
-    """The row of key in a baselines.QTable, or a fresh all-zero row for an unseen key."""
+    """The list row of key in a table of list rows, or a fresh all-zero row for an unseen key."""
     vals = table.entries.get(key)
     return vals if vals is not None else [0.0] * table.n_actions
 

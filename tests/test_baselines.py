@@ -131,7 +131,7 @@ def test_q_state_key_buckets():
 
 def test_q_select_greedy_argmax():
     table = QTable(n_actions=5, epsilon=0.0)
-    table.entries[(1,)] = [0.0, 0.0, 2.5, 0.0, 0.0]
+    table.entries[(1,)] = {2: 2.5}
     assert q_select(table, (1,), make_rng(0)) == 2
 
 
@@ -152,18 +152,22 @@ def test_q_select_full_exploration_reaches_everything():
 
 def test_q_update_examples():
     table = QTable(n_actions=2)
-    table.entries[(0,)] = [0.0, 0.0]
+    table.entries[(0,)] = {}
     q_update(table, (0,), 0, 2.0, (9,))  # unseen next key reads as zeros
-    assert table.entries[(0,)][0] == pytest.approx(0.2)
+    assert table.entries[(0,)] == {0: pytest.approx(0.2)}
 
-    table.entries[(1,)] = [1.0, 0.0]
-    table.entries[(2,)] = [1.0, 0.0]
+    table.entries[(1,)] = {0: 1.0}
+    table.entries[(2,)] = {0: 1.0}
     q_update(table, (1,), 0, 0.0, (2,))
-    assert table.entries[(1,)][0] == pytest.approx(0.995)
+    assert table.entries[(1,)] == {0: pytest.approx(0.995)}
 
-    table.entries[(3,)] = [0.0, 0.0]
+    table.entries[(3,)] = {}
     q_update(table, (3,), 1, 0.0, (3,))
-    assert table.entries[(3,)][1] == pytest.approx(0.0)
+    assert table.entries[(3,)] == {1: pytest.approx(0.0)}
+
+    table.entries[(4,)] = {0: -1.0}  # the next best is the unstored action 1's 0.0
+    q_update(table, (5,), 1, 1.0, (4,))
+    assert table.entries[(5,)] == {1: pytest.approx(0.1)}
 
 
 def test_q_exploration_gate_draws_first():
@@ -201,8 +205,16 @@ def test_every_policy_returns_valid_actions(factory):
 
 
 def _reprs(table):
-    """A Q-table's keys in insertion order, each with the repr of every value in its row."""
-    return [(key, [repr(v) for v in row]) for key, row in table.entries.items()]
+    """A Q-table's keys in insertion order, each with the repr of every value in its
+    row densified to n_actions values, an unstored action as 0.0.
+
+    Rows may be dicts (dualmind.baselines) or lists (the oracles).
+    """
+    reprs = []
+    for key, row in table.entries.items():
+        stored = row if isinstance(row, dict) else dict(enumerate(row))
+        reprs.append((key, [repr(stored.get(action, 0.0)) for action in range(table.n_actions)]))
+    return reprs
 
 
 def test_rankings_match_their_oracles_on_tied_queues():
@@ -259,11 +271,38 @@ def test_deadline_priority_exact_float_tie_goes_to_the_smaller_id():
     ],
 )
 def test_q_select_argmax_matches_its_oracle(row):
-    table = QTable(n_actions=len(row), epsilon=0.0)
-    table.entries[(1,)] = list(row)
+    ours, theirs = QTable(n_actions=len(row), epsilon=0.0), QTable(n_actions=len(row), epsilon=0.0)
+    ours.entries[(1,)] = dict(enumerate(row))  # every action stored
+    theirs.entries[(1,)] = list(row)
     rng_a, rng_b = make_rng(3), make_rng(3)
-    assert q_select(table, (1,), rng_a) == oracles.q_select(table, (1,), rng_b)
+    assert q_select(ours, (1,), rng_a) == oracles.q_select(theirs, (1,), rng_b)
     assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize(
+    "row,n_actions,expected",
+    [
+        ({}, 3, 0),
+        ({1: 0.0}, 3, 0),
+        ({0: -1.0}, 3, 1),  # an unstored 0.0 beats a stored negative
+        ({2: -0.0}, 3, 0),
+        ({0: -0.0, 2: 0.0}, 3, 0),  # a stored -0.0 ties the unstored zeros
+        ({1: -1.0, 0: -1.0, 3: -0.5}, 5, 2),
+        ({4: 0.3}, 5, 4),
+        ({3: 2.0, 1: 2.0}, 5, 1),  # stored out of index order
+        ({2: -1.0, 0: -2.0, 1: -1.0}, 3, 1),  # full rows: no unstored zero
+        ({1: -0.0, 0: -1.0}, 2, 1),
+        ({2: 0.0, 1: -0.0, 0: -0.0}, 3, 0),
+        ({1: 2.5, 2: 2.5, 0: 1.0}, 3, 1),
+        ({0: -3.0}, 1, 0),
+    ],
+)
+def test_first_best_reads_unstored_actions_as_zero(row, n_actions, expected):
+    dense = [row.get(action, 0.0) for action in range(n_actions)]
+    best = baselines._first_best(row, n_actions)
+    assert best == expected == dense.index(max(dense))
+    # the stored value or the unstored 0.0 there is max()'s own pick between -0.0 and 0.0
+    assert repr(row.get(best, 0.0)) == repr(max(dense))
 
 
 def test_q_select_matches_its_oracle_on_random_tables():
@@ -271,14 +310,19 @@ def test_q_select_matches_its_oracle_on_random_tables():
     levels = (-1.0, -0.0, 0.0, 0.5, 1.0)
     for trial in range(2000):
         n_actions = int(rng.integers(1, 7))
-        table = QTable(n_actions=n_actions, epsilon=float(rng.choice((0.0, 0.2, 1.0))))
+        epsilon = float(rng.choice((0.0, 0.2, 1.0)))
+        ours, theirs = QTable(n_actions=n_actions, epsilon=epsilon), QTable(n_actions=n_actions, epsilon=epsilon)
         for key in range(3):
             if rng.random() < 0.7:
-                table.entries[(key,)] = [levels[int(i)] for i in rng.integers(0, len(levels), n_actions)]
+                # a random subset of the actions is stored; the rest read 0.0
+                stored = rng.random(n_actions) < float(rng.choice((0.3, 0.7, 1.0)))
+                row = {a: levels[int(i)] for a, i in enumerate(rng.integers(0, len(levels), n_actions)) if stored[a]}
+                ours.entries[(key,)] = row
+                theirs.entries[(key,)] = [row.get(a, 0.0) for a in range(n_actions)]
         key = (int(rng.integers(0, 4)),)  # (3,) is never seen
         seed = int(rng.integers(0, 2**32))
         rng_a, rng_b = make_rng(seed), make_rng(seed)
-        assert q_select(table, key, rng_a) == oracles.q_select(table, key, rng_b), trial
+        assert q_select(ours, key, rng_a) == oracles.q_select(theirs, key, rng_b), trial
         assert rng_a.random() == rng_b.random(), trial
 
 
@@ -287,13 +331,15 @@ def test_q_update_matches_its_oracle_on_random_backups():
     for trial in range(300):
         n_actions = int(rng.integers(1, 5))
         ours, theirs = QTable(n_actions=n_actions), QTable(n_actions=n_actions)
-        if rng.random() < 0.5:  # a seen row of signed zeros
-            ours.entries[(0,)] = [(-0.0, 0.0)[int(i)] for i in rng.integers(0, 2, n_actions)]
-            theirs.entries[(0,)] = list(ours.entries[(0,)])
+        if rng.random() < 0.5:  # a seen row of signed zeros on some of the actions
+            zeros = [(-0.0, 0.0)[int(i)] for i in rng.integers(0, 2, n_actions)]
+            ours.entries[(0,)] = {a: v for a, v in enumerate(zeros) if rng.random() < 0.6}
+            theirs.entries[(0,)] = [ours.entries[(0,)].get(a, 0.0) for a in range(n_actions)]
         for _ in range(20):
             key, next_key = (int(rng.integers(0, 4)),), (int(rng.integers(0, 4)),)
             action = int(rng.integers(0, n_actions))
-            reward = int(rng.integers(0, 4)) if rng.random() < 0.8 else float(rng.choice((-0.0, 0.5)))
+            # negative rewards leave stored values below the unstored zeros a backup may read
+            reward = int(rng.integers(-2, 4)) if rng.random() < 0.8 else float(rng.choice((-1.0, -0.0, 0.5)))
             q_update(ours, key, action, reward, next_key)
             oracles.q_update(theirs, key, action, reward, next_key)
             assert _reprs(ours) == _reprs(theirs), trial
@@ -365,3 +411,11 @@ def test_baselines_match_their_oracles_on_the_16_node_episode(factory, monkeypat
         assert len(ours.inner.table.entries) > 1
         assert _reprs(ours.inner.table) == _reprs(reference.inner.table)
         assert ours.rng.random() == reference.rng.random()
+
+
+def test_qlearn_stores_at_most_one_value_per_backup():
+    cfg = _planner_scale_config()
+    policy, _ = _episode(QLearningPolicy, cfg)
+    table = policy.inner.table
+    assert table.n_actions == 1820  # C(16, 4)
+    assert sum(len(row) for row in table.entries.values()) <= cfg.steps

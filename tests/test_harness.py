@@ -30,6 +30,22 @@ from dualmind.twin import RunMetrics
 from helpers import builtin_entries, make_cfg
 
 
+def _drop_pool():
+    pool = harness._pool
+    if pool is not None:
+        harness._forget_pool()
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+@pytest.fixture(autouse=True)
+def _no_cached_pool():
+    """Each test starts without the process's worker pool and leaves none behind,
+    so a pool that one test breaks cannot fail the next."""
+    _drop_pool()
+    yield
+    _drop_pool()
+
+
 def _records_equal(a, b):
     return (
         (a.scenario, a.policy, a.run_index) == (b.scenario, b.policy, b.run_index)
@@ -294,11 +310,10 @@ class _FailingPolicy:
 
 
 def test_pool_recovers_after_a_failed_job(monkeypatch):
-    # the workers must be forked after the patch to know the failing policy
+    # the workers must be forked after the patch to know the failing policy,
+    # so the test starts without a pool (see _no_cached_pool)
+    assert harness._pool is None
     monkeypatch.setitem(harness._POLICY_FACTORIES, "boom", _FailingPolicy)
-    if harness._pool is not None:
-        harness._pool.shutdown(wait=True)
-        harness._forget_pool()
     with pytest.raises(RuntimeError, match="this policy always fails"):
         run_experiment(scenarios=builtin_entries(("default",), steps=20), policies=("boom",), runs=4, workers=2)
     assert harness._pool is None  # the failed call dropped its pool
@@ -324,6 +339,11 @@ def test_pool_recovers_after_a_worker_is_killed():
     victim = multiprocessing.active_children()[0]
     os.kill(victim.pid, signal.SIGKILL)
     victim.join(10)
+    # the pool's manager thread also waits on the dead worker; when its waitpid
+    # reaps it first, join returns with exitcode None until that thread stores it
+    deadline = time.monotonic() + 10
+    while victim.exitcode is None and time.monotonic() < deadline:
+        time.sleep(0.01)
     assert victim.exitcode == -signal.SIGKILL
     sequential = run_experiment(**grid)
     try:
@@ -391,6 +411,30 @@ def test_bad_grid_arguments_rejected_before_any_work(bad, monkeypatch):
     grid = {"scenarios": builtin_entries(("default",), steps=10), "policies": ("lqf",), "runs": 2, **bad}
     with pytest.raises(ValueError):
         run_experiment(**grid)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("lambda_base", [0.5, 0.6, 0.7, 0.8, 0.9]), ("deadlines", [None, 10, None, 10, None]), ("burst_nodes", {1, 3})],
+    ids=["lambda_base-list", "deadlines-list", "burst_nodes-set"],
+)
+def test_unhashable_config_rejected_before_any_work(field, value, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the configs were checked")
+
+    monkeypatch.setattr(harness, "run_episode", forbidden)
+    monkeypatch.setattr(harness, "_worker_pool", forbidden)
+    cfg = replace(builtin_scenario("bursty"), steps=20, **{field: value})
+    for workers in (1, 2):
+        with pytest.raises(InvalidConfig, match=f"^{field}: must be hashable"):
+            run_experiment(scenarios=[("listy", cfg)], policies=("lqf",), runs=2, workers=workers)
+
+
+@pytest.mark.parametrize("run_index", [True, 1.5, "1", None])
+def test_run_episode_rejects_a_run_index_that_is_not_an_int(run_index):
+    cfg = make_cfg(steps=10)
+    with pytest.raises(ValueError, match="run_index must be an int"):
+        run_episode(cfg, make_policy("lqf", cfg), run_index)
 
 
 def test_unknown_policy_rejected():
