@@ -107,6 +107,15 @@ class ScenarioConfig:
     base_seed: int = 42
 
 
+_INT_FIELDS = tuple(name for name, kind in get_type_hints(ScenarioConfig).items() if kind is int)
+
+
+def _need_int(name: str, value) -> None:
+    # a bool is an int to isinstance, but never a count or an id
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfig(name, f"need an integer, got {value!r}")
+
+
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Check every config invariant and return the config unchanged.
 
@@ -118,6 +127,12 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             hash(getattr(cfg, f.name))
         except TypeError:
             raise InvalidConfig(f.name, "must be hashable: use tuples and frozensets, not lists or sets") from None
+    # before the range checks, which a float such as 2.5 or a bool would pass
+    for name in _INT_FIELDS:
+        _need_int(name, getattr(cfg, name))
+    for d in cfg.deadlines:
+        if d is not None:
+            _need_int("deadlines", d)
     if cfg.n_nodes < 1:
         raise InvalidConfig("N", "need at least one node")
     if cfg.max_scheduled < 1:
@@ -265,9 +280,11 @@ def _parse(name: str, value, kind):
         if not isinstance(value, bool):
             raise InvalidConfig(name, "must be true or false")
         return value
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        need = "an integer" if kind is int else "a number"
-        raise InvalidConfig(name, f"need {need}, got {value!r}")
+    if kind is int:
+        _need_int(name, value)
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidConfig(name, f"need a number, got {value!r}")
     try:
         return kind(value)
     except OverflowError:

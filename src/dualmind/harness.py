@@ -28,7 +28,8 @@ import json
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
+from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
@@ -53,12 +54,8 @@ from .twin import RunMetrics, draw_arrivals, metrics, observe, reset, step
 imagined_next = record_model_error = None
 
 _POLICY_FACTORIES = {
-    "dmwm": DmwmScheduler,
-    "random": RandomPolicy,
-    "lqf": LqfPolicy,
-    "deadline": DeadlinePriorityPolicy,
-    "rr": FairRoundRobinPolicy,
-    "qlearn": QLearningPolicy,
+    cls.name: cls
+    for cls in (DmwmScheduler, RandomPolicy, LqfPolicy, DeadlinePriorityPolicy, FairRoundRobinPolicy, QLearningPolicy)
 }
 
 POLICY_NAMES = tuple(_POLICY_FACTORIES)
@@ -232,9 +229,10 @@ def run_experiment(
     worker count. Scenario entries may be builtin names or (label, config)
     pairs. Every config runs exactly as given: to change its seed, steps or
     horizon, pass dataclasses.replace(cfg, ...) instead. A bad runs or
-    workers value or an unknown policy name raises ValueError, and a config
-    that fails validate_config raises InvalidConfig, before any episode runs
-    or any worker starts. With workers > 1 the jobs run on the process's shared
+    workers value, an unknown policy name, or a repeated policy name or
+    scenario label raises ValueError, and a config that fails
+    validate_config raises InvalidConfig, before any episode runs or any
+    worker starts. With workers > 1 the jobs run on the process's shared
     worker pool (see the module docstring).
     """
     _check_count("runs", runs, "need at least one run")
@@ -243,6 +241,11 @@ def run_experiment(
     for name in policies:
         _policy_factory(name)  # an unknown name fails here, before any work starts
     resolved = [(item, builtin_scenario(item)) if isinstance(item, str) else item for item in scenarios]
+    # aggregate groups records by (scenario, policy), so a repeat would fold two grid rows into one
+    for kind, names in (("policy", policies), ("scenario label", [label for label, _ in resolved])):
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise ValueError(f"repeated {kind} {repeated[0]!r}")
     for _, cfg in resolved:
         validate_config(cfg)
     jobs = [(name, cfg, policies, run_index, paired) for name, cfg in resolved for run_index in range(runs)]
@@ -266,30 +269,18 @@ def run_experiment(
     ]
 
 
-@dataclass(frozen=True)
-class PolicyAggregate:
-    """Mean and sample standard deviation of each metric for one (scenario, policy).
-
-    The (mean, std) pairs follow the field order of RunMetrics, which
-    aggregate fills them from.
-    """
-
-    scenario: str
-    policy: str
-    runs: int
-    throughput_mean: float
-    throughput_std: float
-    queue_mean: float
-    queue_std: float
-    delay_mean: float
-    delay_std: float
-    violations_mean: float
-    violations_std: float
-    drops_mean: float
-    drops_std: float
-
-
 _METRICS = tuple(f.name for f in fields(RunMetrics))
+
+PolicyAggregate = make_dataclass(
+    "PolicyAggregate",
+    [("scenario", str), ("policy", str), ("runs", int)]
+    + [(f"{name.removeprefix('avg_')}_{stat}", float) for name in _METRICS for stat in ("mean", "std")],
+    frozen=True,
+)
+PolicyAggregate.__doc__ = """Mean and sample standard deviation of each metric for one (scenario, policy):
+<metric>_mean and <metric>_std per RunMetrics field, in order, <metric> without any avg_ prefix."""
+# make_dataclass takes no module argument before Python 3.12, and pickle finds the class by it
+PolicyAggregate.__module__ = __name__
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -326,9 +317,14 @@ RUN_COLUMNS = ("scenario", "policy", "run") + _METRICS
 
 
 def _fmt(value) -> str:
+    """One CSV cell: an Enum as its value, a float to 6 digits, a tuple space-joined, None empty."""
+    if isinstance(value, Enum):
+        value = value.value
     if isinstance(value, float):
         return format(value, ".6g")
-    return str(value)
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    return "" if value is None else str(value)
 
 
 def _write_csv(path, header: Sequence, rows) -> None:
@@ -370,14 +366,4 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 
 def write_decision_trace_csv(path, trace: Sequence[DecisionRecord]) -> None:
-    rows = (
-        [
-            rec.slot,
-            rec.provenance.value,
-            " ".join(str(i) for i in rec.nodes),
-            rec.feasible_count,
-            "" if rec.best_reward is None else rec.best_reward,
-        ]
-        for rec in trace
-    )
-    _write_csv(path, ["slot", "provenance", "nodes", "feasible_count", "best_reward"], rows)
+    _write_csv(path, DecisionRecord._fields, ([_fmt(value) for value in rec] for rec in trace))

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from dualmind import harness, twin
-from dualmind.core import InvalidConfig, builtin_scenario
+from dualmind.core import InvalidConfig, Provenance, builtin_scenario
+from dualmind.dmwm import DecisionRecord
 from dualmind.harness import (
     POLICY_NAMES,
     RUN_COLUMNS,
@@ -25,6 +27,7 @@ from dualmind.harness import (
     make_policy,
     run_episode,
     run_experiment,
+    write_decision_trace_csv,
 )
 from dualmind.twin import RunMetrics
 from helpers import builtin_entries, make_cfg
@@ -211,6 +214,34 @@ def test_result_columns_are_pinned():
     )
 
 
+def test_decision_trace_columns_are_pinned(tmp_path):
+    assert DecisionRecord._fields == ("slot", "provenance", "nodes", "feasible_count", "best_reward")
+    trace = [
+        DecisionRecord(0, Provenance.SLOW_MIND, (0, 2, 4), 7, 3),
+        DecisionRecord(1, Provenance.FAST_MIND, (1,), 0, None),
+        DecisionRecord(2, Provenance.FAST_MIND, (), 0, None),
+    ]
+    write_decision_trace_csv(tmp_path / "decisions.csv", trace)
+    assert (tmp_path / "decisions.csv").read_text().splitlines() == [
+        "slot,provenance,nodes,feasible_count,best_reward",
+        "0,slow_mind,0 2 4,7,3",
+        "1,fast_mind,1,0,",
+        "2,fast_mind,,0,",
+    ]
+
+
+def test_aggregate_rows_survive_pickling():
+    records = run_experiment(scenarios=builtin_entries(("default",), steps=20), policies=("lqf", "rr"), runs=2)
+    rows = aggregate(records)
+    assert pickle.loads(pickle.dumps(rows)) == rows
+
+
+def test_policy_names_come_from_the_policy_classes():
+    assert POLICY_NAMES == ("dmwm", "random", "lqf", "deadline", "rr", "qlearn")
+    for name, factory in harness._POLICY_FACTORIES.items():
+        assert factory.name == name
+
+
 def test_aggregate_std_sample_convention():
     records = run_experiment(scenarios=builtin_entries(("default",), steps=60), policies=("random",), runs=5)
     agg = aggregate(records)[0]
@@ -389,6 +420,9 @@ def test_pool_workers_exit_with_the_interpreter():
     assert not any(_alive(pid) for pid in pids)
 
 
+_DEFAULT = builtin_scenario("default")
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -399,8 +433,15 @@ def test_pool_workers_exit_with_the_interpreter():
         {"workers": 2.0},
         {"workers": None},
         {"policies": ("lqf", "mws")},
+        {"policies": ("lqf", "lqf")},
+        {"policies": ("lqf", "lqf"), "workers": 2},
+        {"scenarios": ["default", "default"]},
+        {"scenarios": [("x", _DEFAULT), ("x", replace(_DEFAULT, horizon=1))], "workers": 2},
     ],
-    ids=["runs-bool", "runs-float", "runs-str", "workers-bool", "workers-float", "workers-none", "policy-name"],
+    ids=[
+        "runs-bool", "runs-float", "runs-str", "workers-bool", "workers-float", "workers-none", "policy-name",
+        "policy-repeated", "policy-repeated-workers-2", "builtin-repeated", "label-repeated-workers-2",
+    ],
 )
 def test_bad_grid_arguments_rejected_before_any_work(bad, monkeypatch):
     def forbidden(*args, **kwargs):
@@ -428,6 +469,34 @@ def test_unhashable_config_rejected_before_any_work(field, value, monkeypatch):
     for workers in (1, 2):
         with pytest.raises(InvalidConfig, match=f"^{field}: must be hashable"):
             run_experiment(scenarios=[("listy", cfg)], policies=("lqf",), runs=2, workers=workers)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("horizon", 2.5),
+        ("buffer", 7.5),
+        ("steps", 3.0),
+        ("n_nodes", 5.0),
+        ("max_scheduled", True),
+        ("horizon", True),
+        ("base_seed", 7.0),
+        ("deadlines", (None, 10.5, None, 10, None)),
+    ],
+    ids=["horizon-float", "buffer-float", "steps-float", "n_nodes-float", "max_scheduled-bool", "horizon-bool",
+         "base_seed-float", "deadline-float"],
+)
+def test_integer_config_fields_rejected_before_any_work(field, value, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the configs were checked")
+
+    monkeypatch.setattr(harness, "run_episode", forbidden)
+    monkeypatch.setattr(harness, "_worker_pool", forbidden)
+    cfg = replace(builtin_scenario("deadline"), **{"steps": 20, field: value})
+    bad = 10.5 if field == "deadlines" else value
+    for workers in (1, 2):
+        with pytest.raises(InvalidConfig, match=f"^{field}: need an integer, got {bad!r}$"):
+            run_experiment(scenarios=[("typed", cfg)], policies=("lqf",), runs=2, workers=workers)
 
 
 @pytest.mark.parametrize("run_index", [True, 1.5, "1", None])
