@@ -37,6 +37,7 @@ from .core import (
 from .dmwm import (
     DecisionRecord,
     DmwmScheduler,
+    SlowMind,
     dmwm_decide,
     fast_mind_select,
 )

@@ -10,11 +10,12 @@ next slot; the rest leave it out and the harness skips the call.
 Per-slot cost on N nodes with K scheduled, so C(N, K) actions: random is one
 integer draw into the k-subsets listed once per run. lqf, deadline and rr
 rank the N nodes with one Python loop and a stable C sort, O(N log N).
-qlearn buckets the queues in O(N). A row stores only the actions backed up
-in its state, so decide and update each cost O(len(row)) on the rows they
-read (one entry per distinct action taken in that state), and a new state
-costs one empty dict. No baseline's decide or update makes a pass over the
-action set.
+qlearn buckets each observation's queues once, in O(N): update keeps the
+key of the next observation for the decide that receives it. A row stores
+only the actions backed up in its state, so decide and update each cost
+O(len(row)) on the rows they read (one entry per distinct action taken in
+that state), and a new state costs one empty dict. No baseline's decide or
+update makes a pass over the action set.
 """
 
 from __future__ import annotations
@@ -222,13 +223,19 @@ class QLearningPolicy:
         self._subsets = list(combinations(range(cfg.n_nodes), cfg.max_scheduled))
         self.table = QTable(n_actions=len(self._subsets))
         self._pending: tuple[tuple[int, ...], int] | None = None
+        # the last update's next observation and its key, which the next
+        # decide reuses when the harness hands it that same observation
+        self._next_obs = None
+        self._next_key: tuple[int, ...] = ()
 
     def decide(self, obs, rng: np.random.Generator) -> tuple[int, ...]:
-        key = q_state_key(obs.q)
+        key = self._next_key if obs is self._next_obs else q_state_key(obs.q)
         idx = q_select(self.table, key, rng)
         self._pending = (key, idx)
         return self._subsets[idx]
 
     def update(self, schedule, outcome) -> None:
         key, idx = self._pending
-        q_update(self.table, key, idx, len(outcome.served), q_state_key(outcome.next_obs.q))
+        self._next_obs = outcome.next_obs
+        self._next_key = q_state_key(outcome.next_obs.q)
+        q_update(self.table, key, idx, len(outcome.served), self._next_key)

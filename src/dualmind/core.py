@@ -134,17 +134,17 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         if d is not None:
             _need_int("deadlines", d)
     if cfg.n_nodes < 1:
-        raise InvalidConfig("N", "need at least one node")
+        raise InvalidConfig("n_nodes", "need at least one node")
     if cfg.max_scheduled < 1:
-        raise InvalidConfig("K", "need K >= 1")
+        raise InvalidConfig("max_scheduled", "need K >= 1")
     if cfg.max_scheduled > cfg.n_nodes:
-        raise InvalidConfig("K", "K>N")
+        raise InvalidConfig("max_scheduled", "K>N")
     if cfg.buffer < 1:
-        raise InvalidConfig("B", "buffer must be positive")
+        raise InvalidConfig("buffer", "buffer must be positive")
     if cfg.steps < 1:
-        raise InvalidConfig("T", "need at least one slot")
+        raise InvalidConfig("steps", "need at least one slot")
     if cfg.horizon < 1:
-        raise InvalidConfig("H", "horizon must be positive")
+        raise InvalidConfig("horizon", "horizon must be positive")
     if len(cfg.lambda_base) != cfg.n_nodes:
         raise InvalidConfig("lambda_base", "need one rate per node")
     if not all(0.0 < rate < math.inf for rate in cfg.lambda_base):

@@ -10,6 +10,17 @@ weighs 0. icn.best_feasible finds the best conflict-free set under these
 weights and counts the feasible ones without listing them; the tests check
 it against the rollout in tests/oracles.py. The fast mind is a
 queue-times-urgency fallback for slots where no feasible set exists.
+
+The search's answer depends on the weights alone, and each weight lies in
+0..H, so a run whose queues sit at or above H keeps asking it the same
+question. Each run's SlowMind therefore keeps a memo from the weight
+vector, packed into one int as it is built, to best_feasible's answer,
+and searches only on a miss. The memo holds at most one entry per slot
+and at most (H + 1)^N in all. It lives and dies with the run, like the
+decision trace: no cache outlives its scheduler or is shared between
+runs, so a run's decisions do not depend on which runs came before it or
+on how many workers run them. The fast mind is not memoized: it ranks the
+raw queues, which seldom repeat.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .core import ConflictGraph, Provenance, ScenarioConfig
-from .icn import ConflictMasks, best_feasible, conflict_masks
+from .icn import best_feasible, conflict_masks
 from .twin import Observation
 
 # Bound only for perfbench's tracer, which looks both names up in this module
@@ -42,8 +53,8 @@ def fast_mind_select(
     """
     # loops and no closures, for the reason given in icn.best_feasible
     rank = []  # minus each node's urgency
-    for n, limit in zip(q, deadlines):
-        rank.append(-2 * n if limit is not None else -n)
+    for i in range(len(q)):  # no zip: a zip object is one more gc-tracked allocation
+        rank.append(-2 * q[i] if deadlines[i] is not None else -q[i])
     # sorted() is stable, so equal urgencies keep ascending node order
     order = sorted(range(len(q)), key=rank.__getitem__)
     if not conflict_aware:
@@ -76,26 +87,52 @@ class DecisionRecord(NamedTuple):
     best_reward: int | None
 
 
-def dmwm_decide(obs: Observation, cfg: ScenarioConfig, masks: ConflictMasks) -> DecisionRecord:
+class SlowMind:
+    """One run's slow mind: the config's conflict masks and its memo of searches.
+
+    memo maps each weight vector searched so far, packed into one int with
+    shift bits a node, to the record of the slot that first searched it,
+    or to 0 when it admits no feasible set. A miss keeps no gc-tracked
+    object beyond that slot's record, which the trace keeps anyway; see
+    icn.best_feasible for why that count matters.
+    """
+
+    __slots__ = ("masks", "shift", "memo")
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.masks = conflict_masks(cfg)
+        self.shift = cfg.horizon.bit_length()  # wide enough for a weight of H
+        self.memo: dict[int, DecisionRecord | int] = {}
+
+
+def dmwm_decide(obs: Observation, cfg: ScenarioConfig, mind: SlowMind) -> DecisionRecord:
     """One slot's decision: slow mind whenever any feasible schedule exists, else fast mind.
 
-    The record's nodes are the schedule to apply, as a sorted tuple. masks
-    are icn.conflict_masks(cfg).
+    The record's nodes are the schedule to apply, as a sorted tuple. mind
+    is SlowMind(cfg), one per run; a memo hit copies the first record of
+    these weights under this slot, sharing its nodes tuple.
     """
-    count = 0
-    if masks.k_set_exists:  # else no slot can plan
-        horizon, ages, deadlines = cfg.horizon, obs.oldest_age, cfg.deadlines
+    if mind.masks.k_set_exists:  # else no slot can plan
+        horizon, ages, deadlines, shift = cfg.horizon, obs.oldest_age, cfg.deadlines, mind.shift
         weights = [0] * len(ages)
-        i = 0  # a plain loop, for the reason given in icn.best_feasible
+        key = i = 0  # a plain loop, for the reason given in icn.best_feasible
         for q in obs.q:
+            key <<= shift
             if q:
                 limit = deadlines[i]
                 if limit is None or ages[i] <= limit:
-                    weights[i] = q if q < horizon else horizon
+                    w = weights[i] = q if q < horizon else horizon
+                    key |= w
             i += 1
-        count, schedule, score = best_feasible(cfg.max_scheduled, weights, masks)
-    if count:
-        return DecisionRecord(obs.t, Provenance.SLOW_MIND, schedule, count, score)
+        plan = mind.memo.get(key)
+        if plan is None:  # a miss: search, and keep this slot's record as the answer
+            count, schedule, score = best_feasible(cfg.max_scheduled, weights, mind.masks)
+            plan = DecisionRecord(obs.t, Provenance.SLOW_MIND, schedule, count, score) if count else 0
+            mind.memo[key] = plan
+        elif plan:  # a hit: the first record's answer, under this slot
+            plan = DecisionRecord(obs.t, Provenance.SLOW_MIND, plan.nodes, plan.feasible_count, plan.best_reward)
+        if plan:
+            return plan
     picked = fast_mind_select(
         obs.q, cfg.deadlines, cfg.max_scheduled, cfg.conflict_graph,
         conflict_aware=cfg.fallback_conflict_aware,
@@ -106,17 +143,18 @@ def dmwm_decide(obs: Observation, cfg: ScenarioConfig, masks: ConflictMasks) -> 
 class DmwmScheduler:
     """Policy wrapper around dmwm_decide keeping a per-run decision trace.
 
-    The config's conflict masks are built once, at construction.
+    The run's SlowMind, with the config's conflict masks and an empty memo,
+    is built once, at construction.
     """
 
     name = "dmwm"
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.masks = conflict_masks(cfg)
+        self.slow_mind = SlowMind(cfg)
         self.trace: list[DecisionRecord] = []
 
     def decide(self, obs: Observation, rng) -> tuple[int, ...]:
-        record = dmwm_decide(obs, self.cfg, self.masks)
+        record = dmwm_decide(obs, self.cfg, self.slow_mind)
         self.trace.append(record)
         return record.nodes

@@ -102,7 +102,8 @@ def best_feasible(
         gain = (weights[i] << n2) | (1 << (n2 - 1 - i))
         block = later[i] & elig
         nxt = {}
-        for s, v in states.items():
+        for s in states:  # no items() view: one gc-tracked allocation fewer
+            v = states[s]
             if s & bit:  # blocked: the state can only skip i, which frees the bit
                 if s >= keep:
                     s -= bit

@@ -6,8 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from dualmind.core import BUILTIN_SCENARIOS, ConflictGraph, Provenance, ScenarioConfig, builtin_scenario
-from dualmind.dmwm import dmwm_decide
-from dualmind.icn import conflict_masks
+from dualmind.dmwm import SlowMind, dmwm_decide
 from dualmind.traffic import TrafficStreams, generate_arrivals
 from dualmind.twin import Observation
 
@@ -105,7 +104,7 @@ def search(k, q, oldest_age, deadlines, pairs, horizon):
     a fast-mind decision reads as (0, None, None), as best_feasible has it.
     """
     cfg = make_cfg(n_nodes=len(q), max_scheduled=k, horizon=horizon, deadlines=deadlines, pairs=pairs)
-    record = dmwm_decide(Observation(tuple(q), tuple(oldest_age), 0), cfg, conflict_masks(cfg))
+    record = dmwm_decide(Observation(tuple(q), tuple(oldest_age), 0), cfg, SlowMind(cfg))
     if record.provenance is Provenance.FAST_MIND:
         return 0, None, None
     return record.feasible_count, record.nodes, record.best_reward

@@ -24,7 +24,7 @@ from dualmind.baselines import (
     q_update,
     random_select,
 )
-from dualmind.core import ConflictGraph, ScenarioConfig, default_lambda, validate_config
+from dualmind.core import ConflictGraph, ScenarioConfig, builtin_scenario, default_lambda, validate_config
 from dualmind.dmwm import DmwmScheduler
 from dualmind.harness import run_episode
 from dualmind.traffic import make_rng
@@ -419,3 +419,33 @@ def test_qlearn_stores_at_most_one_value_per_backup():
     table = policy.inner.table
     assert table.n_actions == 1820  # C(16, 4)
     assert sum(len(row) for row in table.entries.values()) <= cfg.steps
+
+
+class _FreshObservations:
+    """Hands the policy an equal copy of each observation, never the object update saw."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.update = inner.update
+
+    def decide(self, obs, rng):
+        return self.inner.decide(obs._replace(), rng)
+
+
+def test_qlearn_buckets_each_observation_once(monkeypatch):
+    cfg = builtin_scenario("default")  # 200 slots
+    calls = []
+
+    def spy(q):
+        calls.append(q)
+        return q_state_key(q)
+
+    monkeypatch.setattr(baselines, "q_state_key", spy)
+    reused = QLearningPolicy(cfg)
+    run_episode(cfg, reused, 0)
+    assert len(calls) == 1 + cfg.steps  # slot 0's decide, then each update's next observation
+    calls.clear()
+    rebucketed = QLearningPolicy(cfg)
+    run_episode(cfg, _FreshObservations(rebucketed), 0)
+    assert len(calls) == 2 * cfg.steps  # no observation arrives twice: decide buckets its own
+    assert _reprs(reused.table) == _reprs(rebucketed.table)

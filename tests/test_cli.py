@@ -209,7 +209,7 @@ def test_run_matches_golden(tmp_path, command):
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_campaign_rejects_bad_step_override(tmp_path, capsys, steps):
     assert main(["campaign", "--runs", "1", "--steps", steps, "--out", str(tmp_path / "c")]) == 2
-    assert capsys.readouterr().err == "error: T: need at least one slot\n"
+    assert capsys.readouterr().err == "error: steps: need at least one slot\n"
 
 
 def test_run_rejects_removed_rollout_reward_flag(capsys):

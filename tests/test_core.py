@@ -33,7 +33,7 @@ def test_benchmark_defaults_validate():
 def test_k_greater_than_n_rejected():
     with pytest.raises(InvalidConfig) as exc:
         validate_config(make_cfg(n_nodes=5, max_scheduled=6))
-    assert exc.value.field == "K"
+    assert exc.value.field == "max_scheduled"
     assert "K>N" in exc.value.reason
 
 
