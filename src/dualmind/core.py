@@ -12,7 +12,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import UnionType
+from types import NoneType, UnionType
 from typing import Iterable, get_args, get_origin, get_type_hints
 
 BUILTIN_SCENARIOS = ("default", "bursty", "deadline", "interference")
@@ -107,32 +107,68 @@ class ScenarioConfig:
     base_seed: int = 42
 
 
-_INT_FIELDS = tuple(name for name, kind in get_type_hints(ScenarioConfig).items() if kind is int)
+_KINDS = get_type_hints(ScenarioConfig)  # resolved once: validate_config runs on every config
+_PAIRS = get_type_hints(ConflictGraph)["pairs"]
 
 
-def _need_int(name: str, value) -> None:
-    # a bool is an int to isinstance, but never a count or an id
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfig(name, f"need an integer, got {value!r}")
+def is_int(value) -> bool:
+    """An int that is not a bool: a bool is an int to isinstance, but never a count or an id."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_SCALARS = {bool: "a boolean", int: "an integer", float: "a number"}
+
+
+def _typed(name: str, value, kind, from_file: bool):
+    """value checked against kind, a ScenarioConfig annotation, and returned in its Python form.
+
+    A tuple, frozenset or ConflictGraph (its pairs) is a JSON list in a file,
+    built only once its items pass, and must already be one from Python.
+    Raises InvalidConfig naming the field, or TypeError for an unknown kind.
+    """
+    if kind in _SCALARS:
+        if kind is bool:
+            accepted = isinstance(value, bool)
+        else:  # a bool is never a number, and an int counts as a float
+            accepted = is_int(value) or kind is float and isinstance(value, float)
+        if not accepted:
+            raise InvalidConfig(name, f"need {_SCALARS[kind]}, got {value!r}")
+        try:
+            return float(value) if kind is float else value
+        except OverflowError:
+            raise InvalidConfig(name, "integer too large for a float") from None
+    if kind is ConflictGraph:
+        if not (from_file or isinstance(value, ConflictGraph)):
+            raise InvalidConfig(name, f"need a ConflictGraph, got {value!r}")
+        return ConflictGraph(_typed(name, value if from_file else value.pairs, _PAIRS, from_file))
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is UnionType and args[1:] == (NoneType,):  # T | None
+        return None if value is None else _typed(name, value, args[0], from_file)
+    if origin in (tuple, frozenset):
+        spelling = list if from_file else origin
+        if not isinstance(value, spelling):
+            # run_experiment caches each run's traffic under the config as a key
+            hint = "" if from_file else "must be hashable: "
+            raise InvalidConfig(name, f"{hint}need a {spelling.__name__}, got {value!r}")
+        # tuple[T, T] has its length; tuple[T, ...] and frozenset[T] take any
+        kinds = args if origin is tuple and args[-1] is not Ellipsis else args[:1] * len(value)
+        if len(kinds) != len(value):
+            raise InvalidConfig(name, f"need {len(kinds)} items, got {value!r}")
+        items = [_typed(name, item, item_kind, from_file) for item, item_kind in zip(value, kinds)]
+        return origin(items) if from_file else value
+    raise TypeError(f"{name}: no type rule for {kind!r}")
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Check every config invariant and return the config unchanged.
 
-    Raises InvalidConfig naming the offending field.
+    Each field first meets a scenario file's type rule, with a tuple, a
+    frozenset or a ConflictGraph where a file has a list; then come the
+    ranges. Raises InvalidConfig naming the offending field.
     """
-    for f in dataclasses.fields(cfg):
-        # run_experiment caches each run's traffic under the config as a key
-        try:
-            hash(getattr(cfg, f.name))
-        except TypeError:
-            raise InvalidConfig(f.name, "must be hashable: use tuples and frozensets, not lists or sets") from None
     # before the range checks, which a float such as 2.5 or a bool would pass
-    for name in _INT_FIELDS:
-        _need_int(name, getattr(cfg, name))
-    for d in cfg.deadlines:
-        if d is not None:
-            _need_int("deadlines", d)
+    for name, kind in _KINDS.items():
+        _typed(name, getattr(cfg, name), kind, from_file=False)
     if cfg.n_nodes < 1:
         raise InvalidConfig("n_nodes", "need at least one node")
     if cfg.max_scheduled < 1:
@@ -166,8 +202,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise InvalidConfig("burst_nodes", "node id out of range")
     if not 0.0 <= cfg.burst_probability <= 1.0:
         raise InvalidConfig("burst_probability", "must lie in [0,1]")
-    if len(cfg.burst_amplitude_range) != 2:
-        raise InvalidConfig("burst_amplitude_range", "need exactly [low, high]")
     lo, hi = cfg.burst_amplitude_range
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidConfig("burst_amplitude_range", "bounds must be finite")
@@ -256,41 +290,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return {f.name: _json_value(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
 
 
-def _parse(name: str, value, kind):
-    """value read as kind, a ScenarioConfig annotation; raises InvalidConfig naming the field.
-
-    Lists stand for tuples and sets, null for None, and a conflict graph is
-    a list of [i, j] pairs. An integer counts as a float, a boolean never as
-    a number. validate_config checks the length of a fixed tuple.
-    """
-    if kind is ConflictGraph:
-        pairs = _parse(name, value, tuple[tuple[int, ...], ...])
-        if any(len(pair) != 2 for pair in pairs):
-            raise InvalidConfig(name, f"need [i, j] pairs, got {value!r}")
-        return ConflictGraph.from_pairs(pairs)
-    origin, args = get_origin(kind), get_args(kind)
-    if origin is UnionType:  # T | None
-        return None if value is None else _parse(name, value, args[0])
-    if origin in (tuple, frozenset):
-        if not isinstance(value, list):
-            raise InvalidConfig(name, f"need a list, got {value!r}")
-        (item,) = set(args) - {Ellipsis}  # tuple[T, ...], tuple[T, T] or frozenset[T]
-        return origin(_parse(name, v, item) for v in value)
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise InvalidConfig(name, "must be true or false")
-        return value
-    if kind is int:
-        _need_int(name, value)
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidConfig(name, f"need a number, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:
-        raise InvalidConfig(name, "integer too large for a float") from None
-
-
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Parse and validate a scenario document produced by scenario_to_dict.
 
@@ -301,14 +300,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """
     if not isinstance(doc, dict):
         raise InvalidConfig("scenario", f"need a JSON object, got {doc!r}")
-    config_fields = dataclasses.fields(ScenarioConfig)
-    known = {f.name for f in config_fields}
     for key in doc:
-        if key not in known:
+        if key not in _KINDS:
             raise InvalidConfig(key, "unknown field")
-    for f in config_fields:
+    for f in dataclasses.fields(ScenarioConfig):
         if f.default is dataclasses.MISSING and f.name not in doc:
             raise InvalidConfig(f.name, "missing field")
-    kinds = get_type_hints(ScenarioConfig)
-    parsed = {key: _parse(key, value, kinds[key]) for key, value in doc.items()}
+    parsed = {key: _typed(key, value, _KINDS[key], from_file=True) for key, value in doc.items()}
     return validate_config(ScenarioConfig(**parsed))

@@ -42,7 +42,7 @@ from .baselines import (
     QLearningPolicy,
     RandomPolicy,
 )
-from .core import BUILTIN_SCENARIOS, ScenarioConfig, builtin_scenario, validate_config
+from .core import BUILTIN_SCENARIOS, ScenarioConfig, builtin_scenario, is_int, validate_config
 from .dmwm import DecisionRecord, DmwmScheduler
 from .traffic import policy_stream, traffic_streams
 from .twin import RunMetrics, draw_arrivals, metrics, observe, reset, step
@@ -205,8 +205,8 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def _check_int(name: str, value) -> None:
-    # a bool is an int to isinstance, but would be recorded and written as True
-    if isinstance(value, bool) or not isinstance(value, int):
+    # a bool would be recorded and written as True
+    if not is_int(value):
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 

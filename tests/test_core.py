@@ -4,9 +4,11 @@ import json
 import math
 import random
 from dataclasses import MISSING, fields, replace
+from typing import Optional, get_type_hints
 
 import pytest
 
+from dualmind import core
 from dualmind.core import (
     BUILTIN_SCENARIOS,
     ConflictGraph,
@@ -15,6 +17,7 @@ from dualmind.core import (
     ScenarioConfig,
     UnknownScenario,
     builtin_scenario,
+    is_int,
     scenario_from_dict,
     scenario_to_dict,
     validate_config,
@@ -160,38 +163,84 @@ def test_validate_symmetrizes_pair_order():
     assert cfg.conflict_graph.sorted_pairs() == [(1, 3)]
 
 
-def _random_valid_config(rng: random.Random) -> ScenarioConfig:
+# a bool, a str, a list, None and an int too large for a float: wrong for most fields and items
+_ODD = (True, False, "1", [1], None, 10**400)
+
+
+def _odd_value(rng: random.Random, value, hashable: bool = False):
+    """A draw for a field's value, or for one of its items: the value itself, another type, or borderline."""
+    if isinstance(value, ConflictGraph) and value.pairs and rng.random() < 0.5:
+        pairs = value.sorted_pairs()
+        i = rng.randrange(len(pairs))
+        pairs[i] = (pairs[i][0], rng.choice([True, float(pairs[i][1]), 10**400]))
+        return ConflictGraph.from_pairs(pairs)
+    if isinstance(value, (tuple, frozenset)) and value and rng.random() < 0.5:
+        items = list(value)
+        i = rng.randrange(len(items))
+        items[i] = _odd_value(rng, items[i], hashable=isinstance(value, frozenset))
+        return type(value)(items)
+    pool = [value] + [odd for odd in _ODD if not (hashable and isinstance(odd, list))]
+    if isinstance(value, bool):
+        pool.append(int(value))
+    elif is_int(value):
+        pool.append(float(value))  # a float where an int belongs
+    elif isinstance(value, float):
+        pool.append(int(value))  # an int where a float belongs: accepted
+    elif isinstance(value, (tuple, frozenset)):
+        pool.append(rng.choice([list, tuple, frozenset])(value))  # maybe the wrong container
+    elif isinstance(value, ConflictGraph):
+        pool.append(value.pairs)
+    return rng.choice(pool)
+
+
+def _random_config(rng: random.Random, odd: int = 0) -> ScenarioConfig:
+    """A valid config with odd of its fields, drawn at random, given an odd value; not validated."""
     n = rng.randint(1, 8)
     lo = rng.choice([0.0, 1.0, rng.uniform(0.0, 3.0)])
     pairs = [(i, j) if rng.random() < 0.5 else (j, i) for i in range(n) for j in range(i + 1, n)]
-    return validate_config(
-        ScenarioConfig(
-            n_nodes=n,
-            max_scheduled=rng.randint(1, n),
-            buffer=rng.randint(1, 100),
-            steps=rng.randint(1, 300),
-            horizon=rng.randint(1, 5),
-            lambda_base=tuple(rng.choice([1.0, 2.0, rng.uniform(0.1, 3.0)]) for _ in range(n)),
-            deadlines=tuple(rng.choice([None, rng.randint(1, 20)]) for _ in range(n)),
-            conflict_graph=ConflictGraph.from_pairs(rng.sample(pairs, rng.randint(0, len(pairs)))),
-            burst_nodes=frozenset(rng.sample(range(n), rng.randint(0, n))),
-            burst_probability=rng.choice([0.0, 1.0, rng.random()]),
-            burst_amplitude_range=(lo, lo + rng.choice([0.0, 2.0, rng.uniform(0.0, 5.0)])),
-            fallback_conflict_aware=rng.random() < 0.5,
-            base_seed=rng.randrange(2**64),
-        )
+    values = dict(
+        n_nodes=n,
+        max_scheduled=rng.randint(1, n),
+        buffer=rng.randint(1, 100),
+        steps=rng.randint(1, 300),
+        horizon=rng.randint(1, 5),
+        lambda_base=tuple(rng.choice([1.0, 2.0, rng.uniform(0.1, 3.0)]) for _ in range(n)),
+        deadlines=tuple(rng.choice([None, rng.randint(1, 20)]) for _ in range(n)),
+        conflict_graph=ConflictGraph.from_pairs(rng.sample(pairs, rng.randint(0, len(pairs)))),
+        burst_nodes=frozenset(rng.sample(range(n), rng.randint(0, n))),
+        burst_probability=rng.choice([0.0, 1.0, rng.random()]),
+        burst_amplitude_range=(lo, lo + rng.choice([0.0, 2.0, rng.uniform(0.0, 5.0)])),
+        fallback_conflict_aware=rng.random() < 0.5,
+        base_seed=rng.randrange(2**64),
     )
+    for name in rng.sample(list(values), odd):
+        values[name] = _odd_value(rng, values[name])
+    return ScenarioConfig(**values)
 
 
 def test_json_round_trip_all_builtins():
     configs = [builtin_scenario(name) for name in BUILTIN_SCENARIOS]
     configs.append(replace(configs[0], fallback_conflict_aware=True))
     rng = random.Random(2026)
-    configs += [_random_valid_config(rng) for _ in range(50)]
+    configs += [validate_config(_random_config(rng)) for _ in range(50)]
     for cfg in configs:
         doc = scenario_to_dict(cfg)
         assert scenario_from_dict(doc) == cfg
         assert scenario_from_dict(json.loads(json.dumps(doc))) == cfg
+    # a config built in Python meets the type rule a file meets: with odd values drawn in,
+    # validate_config either rejects it, naming a field, or its JSON form reads back as it
+    accepted = rejected = 0
+    for _ in range(1000):
+        cfg = _random_config(rng, odd=rng.choice([1, 1, 2]))
+        try:
+            validate_config(cfg)
+        except InvalidConfig as exc:
+            assert exc.field in {f.name for f in fields(ScenarioConfig)}
+            rejected += 1
+            continue
+        assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(cfg)))) == cfg
+        accepted += 1
+    assert accepted >= 100 and rejected >= 500
 
 
 def test_json_form_of_each_field():
@@ -259,6 +308,12 @@ def test_json_fallback_conflict_aware_needs_a_boolean(value):
         ("burst_amplitude_range", [2, None]),
         pytest.param("burst_probability", 10**400, id="burst_probability-huge_int"),
         pytest.param("lambda_base", [0.5, 10**400, 0.7, 0.8, 0.9], id="lambda_base-huge_int"),
+        # nested items are checked before any tuple, frozenset or ConflictGraph is built from them
+        pytest.param("conflict_graph", [[0, [1]]], id="conflict_graph-nested_list"),
+        pytest.param("conflict_graph", [{}], id="conflict_graph-object"),
+        pytest.param("burst_nodes", [[0, [1]]], id="burst_nodes-nested_list"),
+        pytest.param("burst_nodes", [{}], id="burst_nodes-object"),
+        pytest.param("burst_nodes", [[0, 1], [0, 1, 2]], id="burst_nodes-lists"),
     ],
 )
 def test_json_fields_need_their_json_types(key, value):
@@ -312,3 +367,26 @@ def test_json_field_required_unless_it_has_a_default(field):
             scenario_from_dict(doc)
     else:
         assert getattr(scenario_from_dict(doc), field) == getattr(ScenarioConfig, field)
+
+
+def test_type_walk_knows_every_annotation():
+    # every ScenarioConfig annotation has a rule, and each builtin's value, or its JSON form, meets it
+    kinds = get_type_hints(ScenarioConfig)
+    assert set(kinds) == {f.name for f in fields(ScenarioConfig)}
+    for name in BUILTIN_SCENARIOS:
+        cfg = builtin_scenario(name)
+        doc = scenario_to_dict(cfg)
+        for field, kind in kinds.items():
+            assert core._typed(field, getattr(cfg, field), kind, from_file=False) == getattr(cfg, field)
+            assert core._typed(field, doc[field], kind, from_file=True) == getattr(cfg, field)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [str, complex, list[int], dict[str, int], int | str, Optional[int], set[int]],
+    ids=["str", "complex", "list", "dict", "int_or_str", "Optional", "set"],
+)
+def test_type_walk_raises_for_an_unknown_annotation(kind):
+    for from_file in (False, True):
+        with pytest.raises(TypeError, match="no type rule"):
+            core._typed("field", 1, kind, from_file)
