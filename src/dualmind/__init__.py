@@ -34,13 +34,7 @@ from .core import (
     scenario_to_dict,
     validate_config,
 )
-from .dmwm import (
-    DecisionRecord,
-    DmwmScheduler,
-    SlowMind,
-    dmwm_decide,
-    fast_mind_select,
-)
+from .dmwm import DecisionRecord, DmwmScheduler, fast_mind_select
 from .harness import (
     POLICY_NAMES,
     PolicyAggregate,

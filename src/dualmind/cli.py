@@ -21,6 +21,7 @@ from .core import (
     scenario_to_dict,
     validate_config,
 )
+from .dmwm import DmwmScheduler
 from .harness import (
     POLICY_NAMES,
     aggregate,
@@ -33,7 +34,6 @@ from .harness import (
     write_summary_csv,
     write_summary_json,
 )
-from .icn import conflict_masks
 from .twin import model_error_matrix
 
 OUT_DIR_ENV = "DUALMIND_OUT"
@@ -76,7 +76,7 @@ def _warn_if_never_planned(name: str, cfg: ScenarioConfig) -> None:
 
     The commands print it once their run has succeeded; it changes no output file.
     """
-    if not conflict_masks(cfg).k_set_exists:
+    if not DmwmScheduler(cfg).plans:
         print(
             f"warning: scenario {name} has no {cfg.max_scheduled} pairwise conflict-free nodes, "
             "so dmwm's slow mind never plans and every slot goes to the fast mind",

@@ -61,27 +61,28 @@ class ConflictGraph:
     """Unordered interference pairs; two paired nodes may not transmit together.
 
     Each pair is stored as (min, max) whichever way round it was given, so
-    symmetry is implicit.
+    symmetry is implicit. A pair that is not two ints raises InvalidConfig
+    for conflict_graph.
     """
 
     pairs: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
-        normalised = frozenset((min(i, j), max(i, j)) for i, j in self.pairs)
-        object.__setattr__(self, "pairs", normalised)
+        normalised = []
+        for pair in self.pairs:  # each pair is type-checked before it is compared or hashed
+            i, j = _typed("conflict_graph", pair, _PAIR, from_file=False)
+            normalised.append((i, j) if i < j else (j, i))
+        object.__setattr__(self, "pairs", frozenset(normalised))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> ConflictGraph:
-        return cls(frozenset(pairs))
+        return cls(tuple(pairs))  # not a frozenset yet: an unhashable pair must reach the check
 
     def contains(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.pairs
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,7 @@ class ScenarioConfig:
 
 _KINDS = get_type_hints(ScenarioConfig)  # resolved once: validate_config runs on every config
 _PAIRS = get_type_hints(ConflictGraph)["pairs"]
+_PAIR = get_args(_PAIRS)[0]
 
 
 def is_int(value) -> bool:
@@ -137,10 +139,10 @@ def _typed(name: str, value, kind, from_file: bool):
             return float(value) if kind is float else value
         except OverflowError:
             raise InvalidConfig(name, "integer too large for a float") from None
-    if kind is ConflictGraph:
+    if kind is ConflictGraph:  # a Python-built graph type-checked its pairs when it was built
         if not (from_file or isinstance(value, ConflictGraph)):
             raise InvalidConfig(name, f"need a ConflictGraph, got {value!r}")
-        return ConflictGraph(_typed(name, value if from_file else value.pairs, _PAIRS, from_file))
+        return ConflictGraph(_typed(name, value, _PAIRS, from_file)) if from_file else value
     origin, args = get_origin(kind), get_args(kind)
     if origin is UnionType and args[1:] == (NoneType,):  # T | None
         return None if value is None else _typed(name, value, args[0], from_file)

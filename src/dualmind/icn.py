@@ -16,7 +16,7 @@ per config. The tests check it against oracles that list every set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .core import ScenarioConfig
@@ -28,14 +28,11 @@ class ConflictMasks:
 
     later[i] holds bit j for each node j > i that conflicts with node i.
     clique[i] is the bit of node i's clique in a greedy clique cover of the
-    graph. k_set_exists is False when no max_scheduled nodes are pairwise
-    free of conflicts, whatever the queues: the planner then skips the
-    search and every slot goes to the fast mind.
+    graph.
     """
 
     later: tuple[int, ...]
     clique: tuple[int, ...]
-    k_set_exists: bool
 
 
 def best_feasible(
@@ -159,6 +156,4 @@ def conflict_masks(cfg: ScenarioConfig) -> ConflictMasks:
         else:
             clique.append(1 << len(cliques))
             cliques.append(1 << i)
-    masks = ConflictMasks(tuple(later), tuple(clique), k_set_exists=True)
-    everyone = best_feasible(cfg.max_scheduled, (1,) * n, masks)
-    return masks if everyone[0] else replace(masks, k_set_exists=False)
+    return ConflictMasks(tuple(later), tuple(clique))

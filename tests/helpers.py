@@ -6,7 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from dualmind.core import BUILTIN_SCENARIOS, ConflictGraph, Provenance, ScenarioConfig, builtin_scenario
-from dualmind.dmwm import SlowMind, dmwm_decide
+from dualmind.dmwm import DmwmScheduler
 from dualmind.traffic import TrafficStreams, generate_arrivals
 from dualmind.twin import Observation
 
@@ -100,11 +100,14 @@ def random_state(rng, n, zero_share, density):
 def search(k, q, oldest_age, deadlines, pairs, horizon):
     """The slow mind's (feasible_count, schedule, score) on a hand-made state.
 
-    It asks dmwm_decide, so the planner's own weights feed icn.best_feasible;
-    a fast-mind decision reads as (0, None, None), as best_feasible has it.
+    It asks DmwmScheduler.decide, so the planner's own weights feed
+    icn.best_feasible; a fast-mind decision reads as (0, None, None), as
+    best_feasible has it.
     """
     cfg = make_cfg(n_nodes=len(q), max_scheduled=k, horizon=horizon, deadlines=deadlines, pairs=pairs)
-    record = dmwm_decide(Observation(tuple(q), tuple(oldest_age), 0), cfg, SlowMind(cfg))
+    scheduler = DmwmScheduler(cfg)
+    scheduler.decide(Observation(tuple(q), tuple(oldest_age), 0), None)
+    record = scheduler.trace[-1]
     if record.provenance is Provenance.FAST_MIND:
         return 0, None, None
     return record.feasible_count, record.nodes, record.best_reward

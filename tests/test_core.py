@@ -120,7 +120,7 @@ def test_builtin_interference_ring():
 
 def test_builtin_bursty_unconstrained():
     cfg = builtin_scenario("bursty")
-    assert len(cfg.conflict_graph) == 0
+    assert len(cfg.conflict_graph.pairs) == 0
     assert cfg.deadlines == (None,) * 5
     assert cfg.burst_nodes == frozenset({1, 3})
     assert cfg.burst_probability == pytest.approx(0.15)
@@ -155,6 +155,30 @@ def test_conflict_graph_normalises_pairs_on_construction():
     assert graph.pairs == frozenset({(1, 3)})
     assert graph.contains(1, 3) and graph.contains(3, 1)
     assert graph == ConflictGraph.from_pairs([(1, 3)])
+
+
+@pytest.mark.parametrize(
+    "pairs,reason",
+    [
+        ([(0, 1, 2)], "need 2 items, got (0, 1, 2)"),
+        ([(0,)], "need 2 items, got (0,)"),
+        ([5], "must be hashable: need a tuple, got 5"),
+        ([(0, [1])], "need an integer, got [1]"),
+        ([(0, "1")], "need an integer, got '1'"),
+        ([(True, 2)], "need an integer, got True"),
+        ([(0, 1.5)], "need an integer, got 1.5"),
+    ],
+    ids=["three", "one", "int", "nested_list", "str", "pair-bool", "pair-float"],
+)
+def test_conflict_graph_rejects_a_malformed_pair(pairs, reason):
+    # checked before frozenset, min or max touches the pair, built either way
+    with pytest.raises(InvalidConfig) as exc:
+        ConflictGraph.from_pairs([(2, 3), *pairs])
+    assert (exc.value.field, exc.value.reason) == ("conflict_graph", reason)
+    if pairs != [(0, [1])]:  # the one unhashable pair
+        with pytest.raises(InvalidConfig) as exc:
+            ConflictGraph(frozenset(pairs))
+        assert (exc.value.field, exc.value.reason) == ("conflict_graph", reason)
 
 
 def test_validate_symmetrizes_pair_order():
@@ -231,9 +255,8 @@ def test_json_round_trip_all_builtins():
     # validate_config either rejects it, naming a field, or its JSON form reads back as it
     accepted = rejected = 0
     for _ in range(1000):
-        cfg = _random_config(rng, odd=rng.choice([1, 1, 2]))
-        try:
-            validate_config(cfg)
+        try:  # a malformed conflict pair is rejected already when its graph is built
+            cfg = validate_config(_random_config(rng, odd=rng.choice([1, 1, 2])))
         except InvalidConfig as exc:
             assert exc.field in {f.name for f in fields(ScenarioConfig)}
             rejected += 1

@@ -11,7 +11,7 @@ from dualmind.baselines import lqf_select
 from dualmind.core import (
     BUILTIN_SCENARIOS, ConflictGraph, Provenance, ScenarioConfig, builtin_scenario, default_lambda,
 )
-from dualmind.dmwm import DecisionRecord, DmwmScheduler, SlowMind, dmwm_decide, fast_mind_select
+from dualmind.dmwm import DecisionRecord, DmwmScheduler, fast_mind_select
 from dualmind.harness import run_episode
 from dualmind.icn import best_feasible, conflict_masks
 from dualmind.twin import Observation, reset, step
@@ -19,12 +19,18 @@ from helpers import make_cfg, random_state, search
 from oracles import drain_rollout, feasible_sets, first_best
 
 
+def _decide(scheduler, obs):
+    """The scheduler's DecisionRecord for obs, from the end of its trace."""
+    scheduler.decide(obs, None)
+    return scheduler.trace[-1]
+
+
 def test_rollout_served_hand_check():
     # Without arrivals the twin serves what the slow mind's rollout imagines.
     cfg = make_cfg(n_nodes=2, max_scheduled=1, lam=0.0, steps=4)
     state = reset(cfg)
     obs = step(state, (), (3, 1)).next_obs
-    record = dmwm_decide(obs, cfg, SlowMind(cfg))
+    record = _decide(DmwmScheduler(cfg), obs)
     assert (record.nodes, record.feasible_count, record.best_reward) == ((0,), 2, 3)
     served = sum(len(step(state, record.nodes, (0, 0)).served) for _ in range(3))
     assert served == record.best_reward
@@ -36,12 +42,12 @@ def test_served_with_unit_horizon_equals_slot_reward():
     # At horizon 1 the slow mind's score is the packets the twin sends in the slot.
     rng = np.random.default_rng(77)
     cfg = make_cfg(lam=0.0, steps=2, horizon=1, pairs=[(0, 1), (2, 3)])
-    mind = SlowMind(cfg)
+    scheduler = DmwmScheduler(cfg)
     planned = 0
     for _ in range(100):
         state = reset(cfg)
         obs = step(state, (), tuple(int(v) for v in rng.integers(0, 4, size=5))).next_obs
-        record = dmwm_decide(obs, cfg, mind)
+        record = _decide(scheduler, obs)
         if record.provenance is Provenance.SLOW_MIND:
             planned += 1
             assert record.best_reward == len(step(state, record.nodes, (0,) * 5).served)
@@ -51,7 +57,7 @@ def test_served_with_unit_horizon_equals_slot_reward():
 def test_slow_mind_empty_feasible_gives_none():
     assert search(2, (3, 1), (0, 0), (None, None), [(0, 1)], 3) == (0, None, None)
     cfg = make_cfg(n_nodes=2, max_scheduled=2, pairs=[(0, 1)])
-    record = dmwm_decide(_obs((3, 1)), cfg, SlowMind(cfg))
+    record = _decide(DmwmScheduler(cfg), _obs((3, 1)))
     assert (record.provenance, record.feasible_count, record.best_reward) == (Provenance.FAST_MIND, 0, None)
 
 
@@ -67,7 +73,7 @@ def test_slow_mind_tie_keeps_enumeration_order():
 
 
 def _spy_on_weights(monkeypatch):
-    """Record the weights dmwm_decide hands to best_feasible, one list per search."""
+    """Record the weights the planner hands to best_feasible, one list per search."""
     seen = []
 
     def spy(k, weights, masks):
@@ -94,12 +100,12 @@ def test_planner_weights_are_python_ints(monkeypatch):
     for name in ("default", "deadline", "bursty"):
         cfg = replace(builtin_scenario(name), steps=80)
         policy = _Recorder(cfg)
+        seen.clear()  # only decide's searches: construction searches once for plans
         run_episode(cfg, policy, run_index=0)
         # one search per distinct weight vector of the run, in order of first sight
         distinct = list(dict.fromkeys(tuple(_weights(obs, cfg)) for obs in policy.seen))
         assert [tuple(search) for search in seen] == distinct
         weights.extend(w for search in seen for w in search)
-        seen.clear()
     assert all(type(w) is int for w in weights)
     assert 0 in weights and max(weights) == cfg.horizon  # ineligible nodes and the cap both occur
 
@@ -113,17 +119,18 @@ def test_expired_head_scores_zero_even_with_live_packets_behind_it(monkeypatch):
     step(state, (), (2, 1))  # slot 1: two packets behind it, one at node 1
     obs = step(state, (), (0, 0)).next_obs
     assert (obs.q, obs.oldest_age) == ((3, 1), (3, 2))  # node 0's head is past its deadline
+    scheduler = DmwmScheduler(cfg)
     seen = _spy_on_weights(monkeypatch)
-    record = dmwm_decide(obs, cfg, SlowMind(cfg))
+    record = _decide(scheduler, obs)
     assert seen == [[0, 1]]
     assert (record.nodes, record.best_reward) == ((1,), 1)
     assert step(state, (0,), (0, 0)).served == (0,)  # yet the twin would serve node 0
 
 
 def test_no_search_when_no_conflict_free_k_set_exists(monkeypatch):
-    cfg = builtin_scenario("interference")
-    seen = _spy_on_weights(monkeypatch)
-    record = dmwm_decide(_obs((4,) * 5), cfg, SlowMind(cfg))
+    scheduler = DmwmScheduler(builtin_scenario("interference"))
+    seen = _spy_on_weights(monkeypatch)  # decide's searches only, not the construction's
+    record = _decide(scheduler, _obs((4,) * 5))
     assert seen == [] and record.provenance is Provenance.FAST_MIND
 
 
@@ -183,7 +190,7 @@ def _obs(q, ages=None, t=0):
 
 def test_decide_uses_slow_mind_when_feasible():
     cfg = make_cfg()
-    record = dmwm_decide(_obs((2, 2, 2, 2, 2)), cfg, SlowMind(cfg))
+    record = _decide(DmwmScheduler(cfg), _obs((2, 2, 2, 2, 2)))
     assert record.provenance is Provenance.SLOW_MIND
     assert record.feasible_count == 10
     assert len(record.nodes) == 3
@@ -191,7 +198,7 @@ def test_decide_uses_slow_mind_when_feasible():
 
 def test_decide_falls_back_when_too_few_backlogged():
     cfg = make_cfg()
-    record = dmwm_decide(_obs((3, 0, 0, 0, 1)), cfg, SlowMind(cfg))
+    record = _decide(DmwmScheduler(cfg), _obs((3, 0, 0, 0, 1)))
     assert record.provenance is Provenance.FAST_MIND
     assert record.feasible_count == 0
     assert record.best_reward is None
@@ -201,10 +208,10 @@ def test_decide_falls_back_when_too_few_backlogged():
 def test_slow_mind_actions_never_conflict():
     rng = np.random.default_rng(13)
     cfg = make_cfg(pairs=[(0, 1), (2, 3)])
-    mind = SlowMind(cfg)
+    scheduler = DmwmScheduler(cfg)
     for _ in range(200):
         q = tuple(int(rng.integers(0, 6)) for _ in range(5))
-        record = dmwm_decide(_obs(q), cfg, mind)
+        record = _decide(scheduler, _obs(q))
         if record.provenance is Provenance.SLOW_MIND:
             members = record.nodes
             for a in members:
@@ -216,14 +223,14 @@ def test_slow_mind_actions_never_conflict():
 def test_provenance_matches_feasibility():
     rng = np.random.default_rng(17)
     cfg = make_cfg(pairs=[(1, 2)], deadlines=(6, None, 6, None, 6))
-    mind = SlowMind(cfg)
+    scheduler = DmwmScheduler(cfg)
     for _ in range(200):
         q = tuple(int(rng.integers(0, 4)) for _ in range(5))
         ages = tuple(int(rng.integers(0, 9)) if q[i] > 0 else None for i in range(5))
         obs = _obs(q, ages)
         feasible = feasible_sets(cfg.max_scheduled, obs.q, obs.oldest_age, cfg.deadlines, cfg.conflict_graph.pairs)
         expected = Provenance.SLOW_MIND if feasible else Provenance.FAST_MIND
-        assert dmwm_decide(obs, cfg, mind).provenance is expected
+        assert _decide(scheduler, obs).provenance is expected
 
 
 def test_scheduler_trace_grows_per_decision():
@@ -237,7 +244,7 @@ def test_scheduler_trace_grows_per_decision():
 
 
 def _oracle_decide(obs, cfg):
-    """dmwm_decide from the oracles: list and roll out every feasible set, else the fast mind."""
+    """The planner's decision from the oracles: list and roll out every feasible set, else the fast mind."""
     count, schedule, score = first_best(
         cfg.max_scheduled, obs.q, obs.oldest_age, cfg.deadlines, cfg.conflict_graph.pairs, cfg.horizon
     )
@@ -279,7 +286,7 @@ def _pairwise_config(n, k, steps):
 def test_pairwise_topology_at_32_nodes_counts_every_set_and_matches_the_oracle():
     cfg = _pairwise_config(32, 4, steps=40)
     everyone = _obs((2,) * 32)  # every node backlogged and within its deadline
-    record = dmwm_decide(everyone, cfg, SlowMind(cfg))
+    record = _decide(DmwmScheduler(cfg), everyone)
     assert record.feasible_count == comb(16, 4) * 2**4 == 29120  # one node from each of 4 pairs
     assert record == _oracle_decide(everyone, cfg)
 
@@ -316,10 +323,11 @@ def test_uncapped_conflict_free_deadline_free_dmwm_is_lqf():
 
 
 def _memo_free_decide(obs, cfg, masks):
-    """dmwm_decide with a fresh best_feasible search every slot and no memo."""
-    count = 0
-    if masks.k_set_exists:
-        count, schedule, score = best_feasible(cfg.max_scheduled, _weights(obs, cfg), masks)
+    """The planner's decision with a fresh best_feasible search every slot and no memo.
+
+    No plans gate: where no conflict-free K-set exists every search finds none.
+    """
+    count, schedule, score = best_feasible(cfg.max_scheduled, _weights(obs, cfg), masks)
     if count:
         return DecisionRecord(obs.t, Provenance.SLOW_MIND, schedule, count, score)
     picked = fast_mind_select(
@@ -336,13 +344,12 @@ def test_memoized_trace_equals_a_search_every_slot(name, monkeypatch):
     seen = _spy_on_weights(monkeypatch)
     for run_index in range(3):
         policy = _Recorder(cfg)
+        seen.clear()  # only decide's searches: construction searches once for plans
         run_episode(cfg, policy, run_index=run_index)
         assert [_memo_free_decide(obs, cfg, masks) for obs in policy.seen] == policy.trace
-        memo = policy.slow_mind.memo
         # one search and one entry per distinct weight vector, so at most one per slot
-        distinct = {tuple(_weights(obs, cfg)) for obs in policy.seen} if masks.k_set_exists else set()
-        assert len(seen) == len(memo) == len(distinct) <= cfg.steps
-        seen.clear()
+        distinct = {tuple(_weights(obs, cfg)) for obs in policy.seen} if policy.plans else set()
+        assert len(seen) == len(policy.memo) == len(distinct) <= cfg.steps
 
 
 def test_memoized_decisions_equal_a_search_every_slot_on_random_states():
@@ -355,23 +362,23 @@ def test_memoized_decisions_equal_a_search_every_slot_on_random_states():
             n_nodes=n, max_scheduled=int(rng.integers(1, n + 1)), horizon=int(rng.integers(1, 4)),
             deadlines=deadlines, pairs=pairs,
         )
-        mind, masks = SlowMind(cfg), conflict_masks(cfg)
+        scheduler, masks = DmwmScheduler(cfg), conflict_masks(cfg)
         for t in range(30):
             q, ages, _, _ = random_state(rng, n, 0.3, 0.3)
             obs = _obs(q, ages, t)
-            assert dmwm_decide(obs, cfg, mind) == _memo_free_decide(obs, cfg, masks)
-        assert len(mind.memo) <= 30
-        hits += 30 - len(mind.memo) if masks.k_set_exists else 0
+            assert _decide(scheduler, obs) == _memo_free_decide(obs, cfg, masks)
+        assert len(scheduler.memo) <= 30
+        hits += 30 - len(scheduler.memo) if scheduler.plans else 0
     assert hits >= 1000  # most decisions above were answered from the memo
 
 
 def test_queues_that_cap_alike_share_one_search(monkeypatch):
     # At H = 3 raw queues of 4 and 7 both weigh 3: one search, two slots.
     cfg = make_cfg(n_nodes=2, max_scheduled=1, horizon=3)
+    scheduler = DmwmScheduler(cfg)
     seen = _spy_on_weights(monkeypatch)
-    mind = SlowMind(cfg)
-    first = dmwm_decide(_obs((4, 1), t=5), cfg, mind)
-    second = dmwm_decide(_obs((7, 1), t=6), cfg, mind)
+    first = _decide(scheduler, _obs((4, 1), t=5))
+    second = _decide(scheduler, _obs((7, 1), t=6))
     assert seen == [[3, 1]]
     assert (first.slot, second.slot) == (5, 6)
     assert first.provenance is second.provenance is Provenance.SLOW_MIND
@@ -382,8 +389,21 @@ def test_queues_that_cap_alike_share_one_search(monkeypatch):
 def test_each_run_starts_with_an_empty_memo():
     cfg = replace(builtin_scenario("bursty"), steps=60)
     first, second = DmwmScheduler(cfg), DmwmScheduler(cfg)
-    assert first.slow_mind.memo == {} and first.slow_mind.memo is not second.slow_mind.memo
+    assert first.memo == {} and first.memo is not second.memo
     a = run_episode(cfg, first, run_index=4)
-    assert 1 <= len(first.slow_mind.memo) <= cfg.steps and second.slow_mind.memo == {}
+    assert 1 <= len(first.memo) <= cfg.steps and second.memo == {}
     b = run_episode(cfg, second, run_index=4)
     assert a.decision_trace == b.decision_trace
+
+
+def test_plans_only_when_some_conflict_free_k_set_does():
+    assert not DmwmScheduler(builtin_scenario("interference")).plans  # 5-ring, K=3
+    assert DmwmScheduler(builtin_scenario("default")).plans
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(1, n + 1))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+        cfg = make_cfg(n_nodes=n, max_scheduled=k, pairs=pairs)
+        anywhere = feasible_sets(k, (1,) * n, (None,) * n, (None,) * n, cfg.conflict_graph.pairs)
+        assert DmwmScheduler(cfg).plans == bool(anywhere)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from dualmind import harness, twin
-from dualmind.core import ConflictGraph, InvalidConfig, Provenance, builtin_scenario
+from dualmind.core import InvalidConfig, Provenance, builtin_scenario
 from dualmind.dmwm import DecisionRecord
 from dualmind.harness import (
     POLICY_NAMES,
@@ -506,21 +506,20 @@ def test_integer_config_fields_rejected_before_any_work(field, value, monkeypatc
         ("lambda_base", (0.5, True, 0.75, 0.875, 1.0), "need a number, got True"),
         ("fallback_conflict_aware", 1, "need a boolean, got 1"),
         ("burst_nodes", frozenset({True}), "need an integer, got True"),
-        ("conflict_graph", ConflictGraph.from_pairs([(True, 2)]), "need an integer, got True"),
         ("burst_amplitude_range", (True, 5.0), "need a number, got True"),
-        ("conflict_graph", ConflictGraph.from_pairs([(0, 1.5)]), "need an integer, got 1.5"),
         ("burst_nodes", frozenset({1.0}), "need an integer, got 1.0"),
         ("conflict_graph", frozenset({(0, 1)}), "need a ConflictGraph, got frozenset({(0, 1)})"),
         ("burst_probability", "0.1", "need a number, got '0.1'"),
         ("lambda_base", (0.5, 10**400, 0.75, 0.875, 1.0), "integer too large for a float"),
         ("burst_amplitude_range", (2.0, 5.0, 6.0), "need 2 items, got (2.0, 5.0, 6.0)"),
     ],
-    ids=["burst_probability-bool", "lambda_base-bool", "fallback-int", "burst_nodes-bool", "pair-bool",
-         "amplitude-bool", "pair-float", "burst_nodes-float", "conflict_graph-frozenset", "burst_probability-str",
-         "lambda_base-huge_int", "amplitude-three"],
+    ids=["burst_probability-bool", "lambda_base-bool", "fallback-int", "burst_nodes-bool", "amplitude-bool",
+         "burst_nodes-float", "conflict_graph-frozenset", "burst_probability-str", "lambda_base-huge_int",
+         "amplitude-three"],
 )
 def test_non_integer_config_fields_rejected_before_any_work(field, value, reason, monkeypatch):
-    # each of these once validated, then failed its JSON round trip or a run, or raised another error
+    # each of these once validated, then failed its JSON round trip or a run, or raised another error;
+    # a malformed conflict pair is now rejected when its graph is built (tests/test_core.py)
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the configs were checked")
 

@@ -36,7 +36,6 @@ def test_weights_are_scored_as_given():
 
 def test_search_is_exact_where_no_conflict_free_k_set_exists():
     masks = conflict_masks(builtin_scenario("interference"))  # 5-ring, K=3
-    assert not masks.k_set_exists
     assert best_feasible(3, (1,) * 5, masks) == (0, None, None)
     assert best_feasible(2, (1,) * 5, masks) == (5, (0, 2), 2)
 
@@ -178,19 +177,6 @@ def test_search_matches_oracle_when_k_is_at_least_16():
 def test_search_without_any_feasible_set():
     assert search(2, (1, 1), (0, 0), (None, None), [(0, 1)], 3) == (0, None, None)
     assert search(2, (1, 0, 1), (0, None, 0), (None,) * 3, (), 3)[0] == 1
-
-
-def test_k_set_exists_only_when_some_conflict_free_k_set_does():
-    assert not conflict_masks(builtin_scenario("interference")).k_set_exists  # 5-ring, K=3
-    assert conflict_masks(builtin_scenario("default")).k_set_exists
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        n = int(rng.integers(1, 9))
-        k = int(rng.integers(1, n + 1))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
-        cfg = make_cfg(n_nodes=n, max_scheduled=k, pairs=pairs)
-        anywhere = feasible_sets(k, (1,) * n, (None,) * n, (None,) * n, cfg.conflict_graph.pairs)
-        assert conflict_masks(cfg).k_set_exists == bool(anywhere)
 
 
 def test_clique_cover_puts_each_node_in_one_clique_of_mutual_conflicts():
