@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from types import NoneType, UnionType
-from typing import Iterable, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 BUILTIN_SCENARIOS = ("default", "bursty", "deadline", "interference")
 
@@ -61,22 +62,23 @@ class ConflictGraph:
     """Unordered interference pairs; two paired nodes may not transmit together.
 
     Each pair is stored as (min, max) whichever way round it was given, so
-    symmetry is implicit. A pair that is not two ints raises InvalidConfig
-    for conflict_graph.
+    symmetry is implicit. Pairs that are not a frozenset (from_pairs: any
+    iterable) of two-int pairs raise InvalidConfig for conflict_graph.
     """
 
     pairs: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
+        # from_pairs hands over a tuple: an unhashable pair must reach the check before a frozenset hashes it
+        kind = tuple[_PAIR, ...] if isinstance(self.pairs, tuple) else _PAIRS
         normalised = []
-        for pair in self.pairs:  # each pair is type-checked before it is compared or hashed
-            i, j = _typed("conflict_graph", pair, _PAIR, from_file=False)
+        for i, j in _typed("conflict_graph", self.pairs, kind, from_file=False):
             normalised.append((i, j) if i < j else (j, i))
         object.__setattr__(self, "pairs", frozenset(normalised))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> ConflictGraph:
-        return cls(tuple(pairs))  # not a frozenset yet: an unhashable pair must reach the check
+        return cls(tuple(pairs) if isinstance(pairs, Iterable) else pairs)
 
     def contains(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.pairs
@@ -85,30 +87,6 @@ class ConflictGraph:
         return sorted(self.pairs)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Immutable description of one benchmark scenario.
-
-    lambda_base and deadlines are indexed by node id; deadlines use None
-    for unbounded. burst_* fields only affect nodes listed in burst_nodes.
-    """
-
-    n_nodes: int
-    max_scheduled: int
-    buffer: int
-    steps: int
-    horizon: int
-    lambda_base: tuple[float, ...]
-    deadlines: tuple[int | None, ...]
-    conflict_graph: ConflictGraph = ConflictGraph()
-    burst_nodes: frozenset[int] = frozenset()
-    burst_probability: float = 0.05
-    burst_amplitude_range: tuple[float, float] = (2.0, 5.0)
-    fallback_conflict_aware: bool = False
-    base_seed: int = 42
-
-
-_KINDS = get_type_hints(ScenarioConfig)  # resolved once: validate_config runs on every config
 _PAIRS = get_type_hints(ConflictGraph)["pairs"]
 _PAIR = get_args(_PAIRS)[0]
 
@@ -150,7 +128,7 @@ def _typed(name: str, value, kind, from_file: bool):
         spelling = list if from_file else origin
         if not isinstance(value, spelling):
             # run_experiment caches each run's traffic under the config as a key
-            hint = "" if from_file else "must be hashable: "
+            hint = "" if from_file or isinstance(value, Hashable) else "must be hashable: "
             raise InvalidConfig(name, f"{hint}need a {spelling.__name__}, got {value!r}")
         # tuple[T, T] has its length; tuple[T, ...] and frozenset[T] take any
         kinds = args if origin is tuple and args[-1] is not Ellipsis else args[:1] * len(value)
@@ -159,6 +137,32 @@ def _typed(name: str, value, kind, from_file: bool):
         items = [_typed(name, item, item_kind, from_file) for item, item_kind in zip(value, kinds)]
         return origin(items) if from_file else value
     raise TypeError(f"{name}: no type rule for {kind!r}")
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Immutable description of one benchmark scenario.
+
+    lambda_base and deadlines are indexed by node id; deadlines use None
+    for unbounded. burst_* fields only affect nodes listed in burst_nodes.
+    """
+
+    n_nodes: int
+    max_scheduled: int
+    buffer: int
+    steps: int
+    horizon: int
+    lambda_base: tuple[float, ...]
+    deadlines: tuple[int | None, ...]
+    conflict_graph: ConflictGraph = ConflictGraph()
+    burst_nodes: frozenset[int] = frozenset()
+    burst_probability: float = 0.05
+    burst_amplitude_range: tuple[float, float] = (2.0, 5.0)
+    fallback_conflict_aware: bool = False
+    base_seed: int = 42
+
+
+_KINDS = get_type_hints(ScenarioConfig)  # resolved once: validate_config runs on every config
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:

@@ -5,59 +5,44 @@ feasible when every member has positive weight and no two members
 interfere, and scores the sum of its members' weights. Eligibility and
 weights are the planner's rule, stated in dmwm.
 
-best_feasible, which the planner runs each slot, makes one pass over the
-eligible nodes in ascending id order and returns the number of feasible
-K-sets, the best of them and its score, without listing the sets. Its cost
-follows the number of distinct partial states, which for sparse conflict
-graphs stays small at N = 32 where the K-sets number tens of thousands. The
-conflict graph enters as per-node bitmasks that conflict_masks builds once
-per config. The tests check it against oracles that list every set.
+best_feasible, which the planner runs on each weight vector its memo has
+not seen yet, makes one pass over the eligible nodes in ascending id order
+and returns the number of feasible K-sets, the best of them and its score,
+without listing the sets. Its cost follows the number of distinct partial
+states, which for sparse conflict graphs stays small at N = 32 where the
+K-sets number tens of thousands. The conflict graph enters as per-node
+bitmasks that conflict_masks builds once per config. The tests check it
+against oracles that list every set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import ScenarioConfig
 
 
-@dataclass(frozen=True)
-class ConflictMasks:
-    """A config's conflict graph as bitmasks, for the planner and best_feasible.
-
-    later[i] holds bit j for each node j > i that conflicts with node i.
-    clique[i] is the bit of node i's clique in a greedy clique cover of the
-    graph.
-    """
-
-    later: tuple[int, ...]
-    clique: tuple[int, ...]
-
-
 def best_feasible(
-    k: int, weights: Sequence[int], masks: ConflictMasks
+    k: int, weights: Sequence[int], later: Sequence[int]
 ) -> tuple[int, tuple[int, ...] | None, int | None]:
     """(feasible_count, schedule, score) over the feasible k-sets; (0, None, None) if none.
 
     weights holds one non-negative int per node, 0 for a node that may not
     be scheduled. The score of a set is the sum of its members' weights,
     and the schedule is the first set in lexicographic order with the
-    highest score. masks is conflict_masks(cfg) for the config's conflict
-    graph.
+    highest score. later[i] holds bit j for each node j > i that conflicts
+    with node i, as conflict_masks(cfg) builds it.
 
-    A slot ends early when the eligible nodes, those of positive weight,
-    meet fewer than k cliques of the masks' clique cover: a conflict-free
-    set holds at most one node of each. Otherwise one pass visits the
-    eligible nodes in ascending order. A state is the number c of members
-    taken so far plus the bitmask of later eligible nodes that a taken
-    member conflicts with, packed as c << n | mask. Each state holds how
-    many prefixes reach it and the best of them. Prefixes that reach one
-    state have the same completions, so the best prefix, the highest score
-    with the lexicographically first members at that score, makes the best
-    set through that state. A node is skipped only while enough eligible
-    nodes remain to finish the set, and taken only when no taken member
-    blocks it; a set that reaches k members adds its ways to the count and
+    One pass visits the eligible nodes, those of positive weight, in
+    ascending order. A state is the number c of members taken so far plus
+    the bitmask of later eligible nodes that a taken member conflicts with,
+    packed as c << n | mask. Each state holds how many prefixes reach it
+    and the best of them. Prefixes that reach one state have the same
+    completions, so the best prefix, the highest score with the
+    lexicographically first members at that score, makes the best set
+    through that state. A node is skipped only while enough eligible nodes
+    remain to finish the set, and taken only when no taken member blocks
+    it; a set that reaches k members adds its ways to the count and
     competes for the best.
 
     Each state's value is one integer, ((score << n | members) << n) | ways,
@@ -69,7 +54,6 @@ def best_feasible(
     Ways never exceed C(n, c) < 2**n, so merging two states adds their ways
     without a carry and keeps the larger rest.
     """
-    later, clique = masks.later, masks.clique
     # Plain loops, not comprehensions: on CPython 3.11 each comprehension
     # call allocates a function object, plus a cell for every enclosing
     # local it reads. Both are objects the cyclic garbage collector tracks,
@@ -77,15 +61,12 @@ def best_feasible(
     # lands inside it.
     n = len(weights)
     eligible = []
-    elig = hit = i = 0
+    elig = i = 0
     for w in weights:
         if w:
             eligible.append(i)
             elig |= 1 << i
-            hit |= clique[i]
         i += 1
-    if hit.bit_count() < k:
-        return 0, None, None
     ways = (1 << n) - 1  # v & ways is the ways field of a state's value v
     one = 1 << n  # one more member in a state key
     full = (k - 1) << n  # states at or above this complete a set on a take
@@ -132,28 +113,9 @@ def best_feasible(
     return count, tuple(members), best >> n
 
 
-def conflict_masks(cfg: ScenarioConfig) -> ConflictMasks:
-    """The config's ConflictMasks; the planner builds them once per run.
-
-    The clique cover takes the nodes in ascending order and puts each in
-    the first clique whose members all conflict with it, else in a new one.
-    """
-    n = cfg.n_nodes
-    later = [0] * n
-    neighbours = [0] * n
+def conflict_masks(cfg: ScenarioConfig) -> tuple[int, ...]:
+    """Per node i, the bits of the nodes j > i that conflict with it; the planner builds it once per run."""
+    later = [0] * cfg.n_nodes
     for i, j in cfg.conflict_graph.pairs:  # stored as (min, max)
         later[i] |= 1 << j
-        neighbours[i] |= 1 << j
-        neighbours[j] |= 1 << i
-    cliques: list[int] = []
-    clique = []
-    for i in range(n):
-        for c, members in enumerate(cliques):
-            if members & neighbours[i] == members:
-                cliques[c] |= 1 << i
-                clique.append(1 << c)
-                break
-        else:
-            clique.append(1 << len(cliques))
-            cliques.append(1 << i)
-    return ConflictMasks(tuple(later), tuple(clique))
+    return tuple(later)

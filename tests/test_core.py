@@ -162,23 +162,32 @@ def test_conflict_graph_normalises_pairs_on_construction():
     [
         ([(0, 1, 2)], "need 2 items, got (0, 1, 2)"),
         ([(0,)], "need 2 items, got (0,)"),
-        ([5], "must be hashable: need a tuple, got 5"),
+        ([5], "need a tuple, got 5"),  # an int is hashable: no hint
+        ([[0, 1]], "must be hashable: need a tuple, got [0, 1]"),
         ([(0, [1])], "need an integer, got [1]"),
         ([(0, "1")], "need an integer, got '1'"),
         ([(True, 2)], "need an integer, got True"),
         ([(0, 1.5)], "need an integer, got 1.5"),
     ],
-    ids=["three", "one", "int", "nested_list", "str", "pair-bool", "pair-float"],
+    ids=["three", "one", "int", "list", "nested_list", "str", "pair-bool", "pair-float"],
 )
 def test_conflict_graph_rejects_a_malformed_pair(pairs, reason):
     # checked before frozenset, min or max touches the pair, built either way
     with pytest.raises(InvalidConfig) as exc:
         ConflictGraph.from_pairs([(2, 3), *pairs])
     assert (exc.value.field, exc.value.reason) == ("conflict_graph", reason)
-    if pairs != [(0, [1])]:  # the one unhashable pair
+    if pairs not in ([(0, [1])], [[0, 1]]):  # the unhashable pairs
         with pytest.raises(InvalidConfig) as exc:
             ConflictGraph(frozenset(pairs))
         assert (exc.value.field, exc.value.reason) == ("conflict_graph", reason)
+
+
+@pytest.mark.parametrize("pairs", [5, None])
+def test_conflict_graph_rejects_pairs_that_are_not_a_collection(pairs):
+    for build in (ConflictGraph, ConflictGraph.from_pairs):
+        with pytest.raises(InvalidConfig) as exc:
+            build(pairs)
+        assert (exc.value.field, exc.value.reason) == ("conflict_graph", f"need a frozenset, got {pairs}")
 
 
 def test_validate_symmetrizes_pair_order():

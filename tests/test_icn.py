@@ -1,6 +1,5 @@
 """The exact search: hand cases and structural properties, and equivalence with the oracles."""
 
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -19,6 +18,8 @@ def test_zero_weights_are_skipped():
     assert best_feasible(2, (0, 5, 0, 1), _masks(4, 2)) == (1, (1, 3), 6)
     assert best_feasible(2, (0, 5, 0, 0), _masks(4, 2)) == (0, None, None)
     assert best_feasible(1, (0, 0, 0), _masks(3, 1)) == (0, None, None)
+    # default's shape: four eligible nodes but two conflicting pairs, so no 3-set
+    assert best_feasible(3, (1, 1, 1, 1, 0), _masks(5, 3, [(0, 1), (2, 3)])) == (0, None, None)
 
 
 def test_equal_weights_tie_to_the_lexicographically_first_set():
@@ -91,7 +92,7 @@ def test_matches_full_enumeration_oracle_on_random_states():
     # At horizon 1 every feasible k-set scores k, so the search must return
     # the count and the lexicographically first feasible set.
     rng = np.random.default_rng(20261018)
-    nonempty = 0
+    nonempty = blocked = 0
     for trial in range(5000):
         n = int(rng.integers(1, 13))
         k = int(rng.integers(1, n + 1))
@@ -102,7 +103,12 @@ def test_matches_full_enumeration_oracle_on_random_states():
         want = (len(sets), sets[0], k) if sets else (0, None, None)
         assert search(k, q, ages, deadlines, pairs, 1) == want, f"trial {trial}"
         nonempty += bool(sets)
+        # enough eligible nodes and some conflict-free k-set in the graph, yet none among them
+        blocked += not sets and len(feasible_sets(1, q, ages, deadlines, ())) >= k and bool(
+            feasible_sets(k, (1,) * n, (None,) * n, (None,) * n, pairs)
+        )
     assert nonempty >= 1000  # many states must leave something to count
+    assert blocked >= 200  # and many must be infeasible only through their conflicts
 
 
 def test_reversed_pair_blocks_both_orders():
@@ -177,16 +183,3 @@ def test_search_matches_oracle_when_k_is_at_least_16():
 def test_search_without_any_feasible_set():
     assert search(2, (1, 1), (0, 0), (None, None), [(0, 1)], 3) == (0, None, None)
     assert search(2, (1, 0, 1), (0, None, 0), (None,) * 3, (), 3)[0] == 1
-
-
-def test_clique_cover_puts_each_node_in_one_clique_of_mutual_conflicts():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        n = int(rng.integers(1, 10))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-        cfg = make_cfg(n_nodes=n, max_scheduled=1, pairs=pairs)
-        clique = conflict_masks(cfg).clique
-        assert all(bin(bit).count("1") == 1 for bit in clique)
-        for i, j in combinations(range(n), 2):
-            if clique[i] == clique[j]:
-                assert cfg.conflict_graph.contains(i, j)
