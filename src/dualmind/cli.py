@@ -98,16 +98,15 @@ def _run_and_write(
     metadata: dict,
 ):
     """Run the grid, then write runs.csv, summary.csv and summary.json into --out."""
-    paired = not args.independent_traffic
     records = run_experiment(
         scenarios=scenarios,
         policies=policies,
         runs=args.runs,
-        paired=paired,
         workers=args.workers,
     )
-    for name, cfg in scenarios:
-        _warn_if_never_planned(name, cfg)
+    if "dmwm" in policies:
+        for name, cfg in scenarios:
+            _warn_if_never_planned(name, cfg)
     aggs = aggregate(records)
     out = _ensure_out(args)
     write_runs_csv(out / "runs.csv", records)
@@ -115,7 +114,7 @@ def _run_and_write(
     write_summary_json(
         out / "summary.json",
         aggs,
-        metadata={**metadata, "runs": args.runs, "base_seed": args.seed, "paired_traffic": paired},
+        metadata={**metadata, "runs": args.runs, "base_seed": args.seed, "paired_traffic": True},
     )
     return out, records, aggs
 
@@ -197,11 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid = argparse.ArgumentParser(add_help=False, parents=[seeded])
     grid.add_argument("--runs", type=int, default=30)
     grid.add_argument("--steps", type=int, default=None, help="override slots per run")
-    grid.add_argument(
-        "--independent-traffic",
-        action="store_true",
-        help="salt traffic seeds per policy instead of pairing them",
-    )
     grid.add_argument("--workers", type=int, default=1)
 
     run_p = sub.add_parser("run", parents=[grid], help="run one policy on one scenario")

@@ -1,12 +1,11 @@
 """Campaign runner: seeded episodes, paired-traffic experiments, aggregation, file output.
 
 The experiment grid is (scenario x policy x run). Traffic streams are keyed
-by (base_seed, run_index) only, so with paired traffic (the default) every
-policy faces identical arrival sequences run for run. run_experiment plays
-every episode through run_episode, which keeps the last run's arrival rows,
-so the policies of one (scenario, run), played back to back, share one
-draw; an unpaired mode salts the key with the policy name for fully
-independent runs. The whole campaign is a pure function of its seeds:
+by (base_seed, run_index) only, never by the policy, so every policy faces
+identical arrival sequences run for run (common random numbers). run_experiment
+plays every episode through run_episode, which keeps the last run's arrival
+rows, so the policies of one (scenario, run), played back to back, share one
+draw. The whole campaign is a pure function of its seeds:
 rerunning it reproduces every record bit for bit, sequentially or across
 worker processes.
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, make_dataclass
 from enum import Enum
@@ -105,23 +103,17 @@ class RunRecord:
 
 
 @lru_cache(maxsize=1)
-def _arrival_rows(cfg: ScenarioConfig, run_index: int, salt: int) -> tuple[tuple[int, ...], ...]:
-    """One run's arrival rows, kept for the next episode on the same traffic.
+def _arrival_rows(cfg: ScenarioConfig, run_index: int) -> tuple[tuple[int, ...], ...]:
+    """One run's arrival rows, kept for the next episode of the same (config, run).
 
-    Paired policies play one (scenario, run) back to back with the same
-    key, so they share a single draw.
+    The policies of one (scenario, run) play back to back, so they share a
+    single draw.
     """
-    return tuple(draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index, salt)))
+    return tuple(draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index)))
 
 
-def run_episode(
-    cfg: ScenarioConfig,
-    policy,
-    run_index: int,
-    scenario: str = "",
-    traffic_salt: int = 0,
-) -> RunRecord:
-    """One seeded episode; deterministic in (cfg, policy type, run_index, salt).
+def run_episode(cfg: ScenarioConfig, policy, run_index: int, scenario: str = "") -> RunRecord:
+    """One seeded episode; deterministic in (cfg, policy type, run_index).
 
     The policy sees observe(state) at slot 0 and, after that, each step's
     next_obs, which equals observe(state) after the step. Pass a fresh
@@ -131,9 +123,9 @@ def run_episode(
     _check_int("run_index", run_index)
     if run_index < 0:
         raise ValueError(f"run_index must be non-negative, got {run_index}")
-    rows = _arrival_rows(cfg, run_index, traffic_salt)
+    rows = _arrival_rows(cfg, run_index)
     state = reset(cfg)
-    rng = policy_stream(cfg.base_seed, run_index, traffic_salt)
+    rng = policy_stream(cfg.base_seed, run_index)
     update = getattr(policy, "update", None)
     obs = observe(state)
     for counts in rows:
@@ -157,22 +149,10 @@ def run_episode(
     )
 
 
-def _policy_salt(name: str) -> int:
-    # crc32 is stable across platforms and processes, unlike hash()
-    return zlib.crc32(name.encode("ascii"))
-
-
-def _run_job(job: tuple[str, ScenarioConfig, Sequence[str], int, bool]) -> list[RunRecord]:
-    """One (scenario, run): every policy's episode, in policy order.
-
-    Paired, every policy plays on the run's one shared draw; unpaired, each
-    policy's salt gives it its own.
-    """
-    scenario, cfg, policy_names, run_index, paired = job
-    return [
-        run_episode(cfg, make_policy(name, cfg), run_index, scenario, 0 if paired else _policy_salt(name))
-        for name in policy_names
-    ]
+def _run_job(job: tuple[str, ScenarioConfig, Sequence[str], int]) -> list[RunRecord]:
+    """One (scenario, run): every policy's episode, in policy order, on the run's one shared draw."""
+    scenario, cfg, policy_names, run_index = job
+    return [run_episode(cfg, make_policy(name, cfg), run_index, scenario) for name in policy_names]
 
 
 _pool: ProcessPoolExecutor | None = None
@@ -220,7 +200,6 @@ def run_experiment(
     scenarios: Sequence[str | tuple[str, ScenarioConfig]] = BUILTIN_SCENARIOS,
     policies: Sequence[str] = POLICY_NAMES,
     runs: int = 30,
-    paired: bool = True,
     workers: int = 1,
 ) -> list[RunRecord]:
     """Run the full (scenario x policy x run) grid and return ordered records.
@@ -248,7 +227,7 @@ def run_experiment(
             raise ValueError(f"repeated {kind} {repeated[0]!r}")
     for _, cfg in resolved:
         validate_config(cfg)
-    jobs = [(name, cfg, policies, run_index, paired) for name, cfg in resolved for run_index in range(runs)]
+    jobs = [(name, cfg, policies, run_index) for name, cfg in resolved for run_index in range(runs)]
     if workers > 1:
         pool = _worker_pool(workers)
         try:

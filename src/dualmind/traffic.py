@@ -28,6 +28,8 @@ import numpy as np
 
 from .core import MODULATION_DEPTH, MODULATION_PERIOD, ScenarioConfig
 
+# Stream keys are (seed, run, purpose, 0). Dropping the 0 would change the
+# draws of every seed or run index of 2**32 or more.
 ARRIVAL_STREAM = 0
 BURST_STREAM = 1
 POLICY_STREAM = 2
@@ -62,21 +64,20 @@ class TrafficStreams:
     bursts: Draw
 
 
-def traffic_streams(base_seed: int, run_index: int, salt: int = 0) -> TrafficStreams:
-    """Traffic streams keyed by (seed, run, purpose, salt).
+def traffic_streams(base_seed: int, run_index: int) -> TrafficStreams:
+    """Traffic streams keyed by (seed, run, purpose, 0).
 
-    salt stays 0 for paired comparisons so every policy sees identical
-    arrivals; unpaired campaigns pass a per-policy salt instead.
+    The key holds no policy, so every policy of a run sees identical arrivals.
     """
     return TrafficStreams(
-        arrivals=_block_uniforms(make_rng(base_seed, run_index, ARRIVAL_STREAM, salt)),
-        bursts=_block_uniforms(make_rng(base_seed, run_index, BURST_STREAM, salt)),
+        arrivals=_block_uniforms(make_rng(base_seed, run_index, ARRIVAL_STREAM, 0)),
+        bursts=_block_uniforms(make_rng(base_seed, run_index, BURST_STREAM, 0)),
     )
 
 
-def policy_stream(base_seed: int, run_index: int, salt: int = 0) -> np.random.Generator:
-    """The stream policies draw from; separate from traffic by construction."""
-    return make_rng(base_seed, run_index, POLICY_STREAM, salt)
+def policy_stream(base_seed: int, run_index: int) -> np.random.Generator:
+    """The stream policies draw from, keyed by (seed, run, POLICY_STREAM, 0); separate from traffic."""
+    return make_rng(base_seed, run_index, POLICY_STREAM, 0)
 
 
 def generate_arrivals(cfg: ScenarioConfig, t: int, streams: TrafficStreams) -> tuple[int, ...]:

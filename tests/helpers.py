@@ -10,8 +10,9 @@ from dualmind.dmwm import DmwmScheduler
 from dualmind.traffic import TrafficStreams, generate_arrivals
 from dualmind.twin import Observation
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
 # SHA-256 of the seed-42 CLI outputs; a change here is a change in results.
-GOLDEN_SHA256 = json.loads((Path(__file__).parent / "golden" / "sha256.json").read_text())
+GOLDEN_SHA256 = json.loads((GOLDEN_DIR / "sha256.json").read_text())
 
 
 def sha256_of(path):

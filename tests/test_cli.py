@@ -43,7 +43,11 @@ def test_run_campaign_and_trace_warn_when_no_conflict_free_set_exists(tmp_path, 
         assert main(args + ["--out", str(tmp_path / command)]) == 0
         err = capsys.readouterr().err
         assert err.startswith(_NEVER_PLANNED) and err.count("\n") == 1, command  # once, for the ring only
+    # silent where dmwm plans, and where dmwm does not run
     assert main(["run", "--scenario", "default"] + grid + ["--out", str(tmp_path / "quiet")]) == 0
+    assert capsys.readouterr().err == ""
+    lqf = ["run", "--scenario", "interference", "--policy", "lqf"] + grid
+    assert main(lqf + ["--out", str(tmp_path / "lqf")]) == 0
     assert capsys.readouterr().err == ""
     for name in ("schedule.csv", "model_error.csv", "queue_lengths.csv", "decisions.csv"):
         assert sha256_of(tmp_path / "trace" / name) == GOLDEN_SHA256[f"trace --seed 42 {name}"]["interference"]

@@ -22,7 +22,6 @@ from dualmind.harness import (
     POLICY_NAMES,
     RUN_COLUMNS,
     SUMMARY_COLUMNS,
-    _policy_salt,
     aggregate,
     make_policy,
     run_episode,
@@ -113,22 +112,18 @@ def test_paired_traffic_identical_across_policies():
         assert np.array_equal(a.arrivals_by_node, b.arrivals_by_node)
 
 
-@pytest.mark.parametrize("paired", [True, False])
-def test_experiment_records_equal_single_episodes(paired):
-    # run_experiment shares a run's arrivals across policies when paired; each
-    # record must still be the episode run_episode plays on its own
+def test_experiment_records_equal_single_episodes():
+    # run_experiment shares a run's arrivals across policies; each record
+    # must still be the episode run_episode plays on its own
     cfg = replace(builtin_scenario("bursty"), steps=60)
-    records = run_experiment(scenarios=[("bursty", cfg)], runs=2, paired=paired)
+    records = run_experiment(scenarios=[("bursty", cfg)], runs=2)
     assert len(records) == len(POLICY_NAMES) * 2
     for rec in records:
-        salt = 0 if paired else _policy_salt(rec.policy)
-        policy = make_policy(rec.policy, cfg)
-        alone = run_episode(cfg, policy, rec.run_index, scenario="bursty", traffic_salt=salt)
+        alone = run_episode(cfg, make_policy(rec.policy, cfg), rec.run_index, scenario="bursty")
         assert _records_equal(rec, alone), (rec.policy, rec.run_index)
 
 
-@pytest.mark.parametrize("paired", [True, False])
-def test_every_episode_runs_through_run_episode(paired, monkeypatch):
+def test_every_episode_runs_through_run_episode(monkeypatch):
     # the benchmark's tracer times episodes and arrival draws by wrapping
     # these two names, so run_experiment must reach every episode through
     # the module-level run_episode and draw through twin.generate_arrivals
@@ -151,22 +146,11 @@ def test_every_episode_runs_through_run_episode(paired, monkeypatch):
         scenarios=builtin_entries(("bursty", "default"), steps=steps),
         policies=("lqf", "random", "dmwm"),
         runs=2,
-        paired=paired,
         workers=1,
     )
     assert len(records) == calls["run_episode"] == 12
-    # paired: one draw per (scenario, run); unpaired: one per episode
-    assert calls["generate_arrivals"] == steps * (4 if paired else 12)
-
-
-def test_unpaired_traffic_differs():
-    records = run_experiment(
-        scenarios=builtin_entries(("bursty",), steps=80), policies=("random", "lqf"), runs=3, paired=False
-    )
-    by = {(r.policy, r.run_index): r for r in records}
-    assert any(
-        by[("random", i)].arrivals != by[("lqf", i)].arrivals for i in range(3)
-    )
+    # one draw per (scenario, run), shared by its three episodes
+    assert calls["generate_arrivals"] == steps * 4
 
 
 def test_aggregate_means_exact():
@@ -268,7 +252,7 @@ def _assert_parallel_matches(workers, **grid):
     parallel = run_experiment(**grid, workers=workers)
     assert len(sequential) == len(parallel)
     for a, b in zip(sequential, parallel):
-        assert _records_equal(a, b), (grid.get("paired"), a.scenario, a.policy, a.run_index)
+        assert _records_equal(a, b), (a.scenario, a.policy, a.run_index)
     return parallel
 
 
@@ -285,10 +269,8 @@ def _alive(pid):
 
 
 def test_parallel_workers_match_sequential():
-    entries = builtin_entries(("default", "bursty"), steps=40)
-    for paired in (True, False):
-        records = _assert_parallel_matches(2, scenarios=entries, runs=3, paired=paired)
-        assert len(records) == 2 * len(POLICY_NAMES) * 3
+    records = _assert_parallel_matches(2, scenarios=builtin_entries(("default", "bursty"), steps=40), runs=3)
+    assert len(records) == 2 * len(POLICY_NAMES) * 3
     # another grid on the now-warm pool: other scenarios, policies, steps and runs
     _assert_parallel_matches(
         2,

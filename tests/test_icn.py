@@ -1,5 +1,6 @@
 """The exact search: hand cases and structural properties, and equivalence with the oracles."""
 
+import sys
 from math import comb
 
 import numpy as np
@@ -33,6 +34,37 @@ def test_weights_are_scored_as_given():
     # no cap or eligibility rule inside the search: those are the planner's
     assert best_feasible(1, (7, 90, 9), _masks(3, 1)) == (3, (1,), 90)
     assert best_feasible(2, (2**70, 1, 2**70), _masks(3, 2)) == (3, (0, 2), 2**71)
+
+
+def _states_kept(k, weights, later):
+    """best_feasible's result and, per visited node, the number of states it keeps.
+
+    sys.settrace collects the nxt dict of each pass over a node, and its
+    size is read once the call returns, so the count sees the pruning that
+    the result cannot show.
+    """
+    layers = []
+
+    def line(frame, event, arg):
+        nxt = frame.f_locals.get("nxt")
+        if nxt is not None and (not layers or layers[-1] is not nxt):
+            layers.append(nxt)
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is best_feasible.__code__ else None)
+    try:
+        result = best_feasible(k, weights, later)
+    finally:
+        sys.settrace(previous)
+    return result, [len(nxt) for nxt in layers]
+
+
+def test_search_keeps_only_states_that_can_finish_a_set():
+    # no conflicts, so a state is its member count c; it is kept after node i
+    # only while c < k and the nodes after i can still bring it to k
+    assert _states_kept(2, (1,) * 4, _masks(4, 2)) == ((6, (0, 1), 2), [2, 2, 1, 0])
+    assert _states_kept(3, (1,) * 5, _masks(5, 3)) == ((10, (0, 1, 2), 3), [2, 3, 2, 1, 0])
 
 
 def test_search_is_exact_where_no_conflict_free_k_set_exists():

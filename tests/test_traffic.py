@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 from dualmind.core import BUILTIN_SCENARIOS, MAX_RATE, builtin_scenario, validate_config
-from dualmind.harness import _policy_salt
 from dualmind.traffic import (
     ARRIVAL_STREAM,
     BURST_STREAM,
+    POLICY_STREAM,
     UNIFORM_BLOCK,
     TrafficStreams,
     generate_arrivals,
     make_rng,
+    policy_stream,
     traffic_streams,
 )
 from dualmind.twin import draw_arrivals
@@ -162,14 +163,15 @@ def test_arrivals_match_golden(name):
     assert digest == GOLDEN_SHA256["generate_arrivals seed 42 run 0"][name]
 
 
-def _scalar_arrivals(cfg, run_index, salt):
+def _scalar_arrivals(cfg, run_index):
     """Oracle: the sampler with one numpy call per uniform (Generator.random,
     and Generator.uniform for a burst amplitude).
 
-    Returns the rows and the number of uniforms taken from each stream.
+    Returns the rows and the number of uniforms taken from each stream. The
+    stream keys are written out in full, trailing 0 included.
     """
-    arrivals = make_rng(cfg.base_seed, run_index, ARRIVAL_STREAM, salt)
-    bursts = make_rng(cfg.base_seed, run_index, BURST_STREAM, salt)
+    arrivals = make_rng(cfg.base_seed, run_index, ARRIVAL_STREAM, 0)
+    bursts = make_rng(cfg.base_seed, run_index, BURST_STREAM, 0)
     arrival_draws = burst_draws = 0
     rows = []
     for t in range(cfg.steps):
@@ -225,10 +227,9 @@ def _random_traffic_cfg(seed):
     + [pytest.param(_random_traffic_cfg(seed), 3, id=f"random{seed}") for seed in range(12)],
 )
 def test_block_draws_match_scalar_oracle(cfg, runs):
-    for salt in (0, _policy_salt("dmwm")):
-        for run_index in range(runs):
-            expected, _, _ = _scalar_arrivals(cfg, run_index, salt)
-            assert draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index, salt)) == expected
+    for run_index in range(runs):
+        expected, _, _ = _scalar_arrivals(cfg, run_index)
+        assert draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index)) == expected
 
 
 def test_block_draws_match_scalar_oracle_across_block_edges():
@@ -242,9 +243,17 @@ def test_block_draws_match_scalar_oracle_across_block_edges():
         burst_amplitude_range=(2.0, 5.0),
     )
     for run_index in range(3):
-        expected, arrival_draws, burst_draws = _scalar_arrivals(cfg, run_index, 0)
+        expected, arrival_draws, burst_draws = _scalar_arrivals(cfg, run_index)
         assert arrival_draws > 3 * UNIFORM_BLOCK and burst_draws > UNIFORM_BLOCK
         assert draw_arrivals(cfg, traffic_streams(cfg.base_seed, run_index)) == expected
+
+
+@pytest.mark.parametrize("seed", [42, 2**40, 2**64 - 1])
+@pytest.mark.parametrize("run_index", [0, 2**33])
+def test_policy_stream_key(seed, run_index):
+    # the key's trailing 0 changes the draws once a word needs more than 32 bits
+    expected = make_rng(seed, run_index, POLICY_STREAM, 0).random(8)
+    assert np.array_equal(policy_stream(seed, run_index).random(8), expected)
 
 
 def _empirical_means(cfg, runs):
