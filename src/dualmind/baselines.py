@@ -20,6 +20,7 @@ update makes a pass over the action set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -117,7 +118,8 @@ class QTable:
     Actions are k-subsets indexed by their lexicographic rank. A state's row
     maps each action backed up in that state to its value; an unseen state
     has no row. q_select and q_update read an unseen state without storing
-    a row; q_update stores one for the state it backs up.
+    a row; q_update stores one for the state it backs up. Rewards are finite
+    and >= 0, so every stored value is >= 0.0 and never -0.0.
     """
 
     n_actions: int
@@ -125,23 +127,17 @@ class QTable:
     entries: dict[tuple[int, ...], dict[int, float]] = field(default_factory=dict)
 
 
-def _first_best(row: dict[int, float], n_actions: int) -> int:
-    """The first index of the row's maximum over all n_actions actions, an
-    unstored action counting as 0.0 (and -0.0 == 0.0, as in a dense max)."""
-    if row:
-        top = max(row.values())
-        if top > 0.0 or len(row) == n_actions:
-            best = n_actions
-            for action, value in row.items():
-                if value == top and action < best:
-                    best = action
-            return best
-    # the maximum is zero, held by every unstored action and any stored
-    # signed zero; only the stored negatives before the first of them are skipped
-    action = 0
-    while row.get(action, 0.0) < 0.0:
-        action += 1
-    return action
+def _first_best(row: dict[int, float]) -> int:
+    """The first index of a non-empty row's maximum, an unstored action
+    counting as 0.0; as no value is negative, a maximum of 0.0 is action 0's."""
+    top = max(row.values())
+    if top == 0.0:
+        return 0
+    best = -1
+    for action, value in row.items():
+        if value == top and (best < 0 or action < best):
+            best = action
+    return best
 
 
 def q_select(table: QTable, key: tuple[int, ...], rng: np.random.Generator) -> int:
@@ -150,24 +146,25 @@ def q_select(table: QTable, key: tuple[int, ...], rng: np.random.Generator) -> i
     if rng.random() < table.epsilon:
         return int(rng.integers(table.n_actions))
     row = table.entries.get(key)
-    if row is None:
+    if not row:
         return 0  # the first index of an all-zero row
-    return _first_best(row, table.n_actions)
+    return _first_best(row)
 
 
 def q_update(
     table: QTable, key: tuple[int, ...], action: int, reward: float, next_key: tuple[int, ...]
 ) -> None:
-    """One temporal-difference backup toward reward plus discounted best next value."""
+    """One temporal-difference backup toward reward plus discounted best next
+    value. reward must be finite and >= 0: any other raises ValueError before
+    the table changes."""
+    if not 0 <= reward < math.inf:
+        raise ValueError("Q-learning rewards must be finite and >= 0")
     entries = table.entries
     row = entries.get(key)
     if row is None:
         row = entries[key] = {}  # before next_key is read, which may be key
     next_row = entries.get(next_key)
-    next_best = 0.0  # an unseen row is all zeros
-    if next_row is not None:
-        # the value at the first best index, so -0.0 and 0.0 resolve as max() over a dense row would
-        next_best = next_row.get(_first_best(next_row, table.n_actions), 0.0)
+    next_best = max(next_row.values()) if next_row else 0.0  # an unseen or empty row is all zeros
     old = row.get(action, 0.0)
     row[action] = old + Q_ALPHA * (reward + Q_GAMMA * next_best - old)
 

@@ -7,12 +7,12 @@ packet can never be served in the slot it arrives. The arrivals come in
 as the slot's per-node counts: draw_arrivals draws every slot's counts of
 a run up front, so policies sharing a run's traffic can share the rows.
 
-A step checks the schedule in two short passes, one over the ids' types
-and one over the sorted ids. Each phase after that is one pass: one over
-the queues that carry a deadline (listed once by reset) to purge, one over
-the sorted schedule to serve and flag, and one over every node to admit
-arrivals, record the slot's queue lengths and build the observation of the
-next slot, which the step returns as next_obs.
+A step sorts the schedule once and checks it in one pass over the sorted
+ids. Each phase after that is one pass: one over the queues that carry a
+deadline (listed once by reset) to purge, one over the sorted schedule to
+serve and flag, and one over every node to admit arrivals, record the
+slot's queue lengths and build the observation of the next slot, which
+the step returns as next_obs.
 
 A step does no numpy work. Each run's per-slot records, its queue
 lengths and schedule flags, live in flat buffers of steps x nodes entries,
@@ -28,8 +28,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from numbers import Integral
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -152,19 +151,11 @@ def draw_arrivals(cfg: ScenarioConfig, streams: TrafficStreams) -> list[tuple[in
     return [generate_arrivals(cfg, t, streams) for t in range(cfg.steps)]
 
 
-def _int_ids(schedule: Sequence) -> list[int]:
-    """schedule's ids as Python ints, so served reports Python ints."""
-    for i in schedule:
-        if isinstance(i, bool) or not isinstance(i, Integral):
-            raise ValueError("schedule names a node by a bool or a non-integer id")
-    return [int(i) for i in schedule]
-
-
-def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> StepOutcome:
+def step(state: TwinState, schedule: Iterable[int], counts: Sequence[int]) -> StepOutcome:
     """Advance one slot: purge expired packets, serve the schedule, inject arrivals, record.
 
-    schedule holds distinct integer node ids, Python or numpy but not bool;
-    the outcome names served nodes by Python ints. counts holds the slot's
+    schedule is an iterable of distinct node ids, each exactly a Python int
+    (not a bool or a numpy integer); it is read once. counts holds the slot's
     arrivals per node as non-negative Python ints, as a row of
     draw_arrivals does. Service is one packet per scheduled node, in node
     order; a scheduled node with an empty queue wastes its slot. A rejected
@@ -177,21 +168,21 @@ def step(state: TwinState, schedule: Sequence[int], counts: Sequence[int]) -> St
     n = cfg.n_nodes
     if t >= cfg.steps:
         raise SimulationEnded(f"run is complete after {cfg.steps} slots")
-    # ids are type-checked before sorted or the range check compares them
-    for i in schedule:
-        if type(i) is not int:
-            schedule = _int_ids(schedule)
-            break
-    order = sorted(schedule)
+    try:
+        order = sorted(schedule)
+    except TypeError:  # not iterable, or ids that do not compare, such as 'a' beside an int
+        raise ValueError("schedule is not an iterable of comparable node ids") from None
     if len(order) > cfg.max_scheduled:
         raise ValueError("schedule exceeds the per-slot transmission budget")
-    if order and not (0 <= order[0] and order[-1] < n):
-        raise ValueError("schedule names an unknown node")
     previous = -1
     for i in order:
+        if type(i) is not int:
+            raise ValueError("schedule names a node by a bool or a non-integer id")
         if i == previous:
             raise ValueError("schedule names a node twice")
         previous = i
+    if order and not (0 <= order[0] and order[-1] < n):
+        raise ValueError("schedule names an unknown node")
     if len(counts) != n:
         raise ValueError("need one arrival count per node")
     for count in counts:

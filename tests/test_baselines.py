@@ -24,7 +24,14 @@ from dualmind.baselines import (
     q_update,
     random_select,
 )
-from dualmind.core import ConflictGraph, ScenarioConfig, builtin_scenario, default_lambda, validate_config
+from dualmind.core import (
+    BUILTIN_SCENARIOS,
+    ConflictGraph,
+    ScenarioConfig,
+    builtin_scenario,
+    default_lambda,
+    validate_config,
+)
 from dualmind.dmwm import DmwmScheduler
 from dualmind.harness import run_episode
 from dualmind.traffic import make_rng
@@ -138,6 +145,8 @@ def test_q_select_greedy_argmax():
 def test_q_select_unseen_key_defaults_to_first():
     table = QTable(n_actions=4, epsilon=0.0)
     assert q_select(table, (9, 9), make_rng(0)) == 0
+    table.entries[(9, 9)] = {}  # an empty row is all zeros too
+    assert q_select(table, (9, 9), make_rng(0)) == 0
 
 
 def test_q_select_full_exploration_reaches_everything():
@@ -164,10 +173,6 @@ def test_q_update_examples():
     table.entries[(3,)] = {}
     q_update(table, (3,), 1, 0.0, (3,))
     assert table.entries[(3,)] == {1: pytest.approx(0.0)}
-
-    table.entries[(4,)] = {0: -1.0}  # the next best is the unstored action 1's 0.0
-    q_update(table, (5,), 1, 1.0, (4,))
-    assert table.entries[(5,)] == {1: pytest.approx(0.1)}
 
 
 def test_q_exploration_gate_draws_first():
@@ -258,16 +263,16 @@ def test_deadline_priority_exact_float_tie_goes_to_the_smaller_id():
 @pytest.mark.parametrize(
     "row",
     [
-        [0.0, -0.0, 0.0],
-        [-0.0, 0.0, -0.0],
-        [-0.0, -0.0],
-        [-1.0, -0.0, 0.0, -0.0],
+        [0.0, 0.0, 0.0],
+        [0.0, 0.5, 0.0],
+        [0.0, 1.5],  # the maximum at the last index
+        [1.0, 0.0, 0.0, 0.0],
         [2.5, 1.0, 2.5],  # repeated maximum at the first and last index
         [1.0, 2.5, 0.0, 2.5],
         [0.0, 0.0, 3.0, 3.0],
-        [-2.0, -1.0, -3.0, -1.0],
+        [0.5, 1.0, 0.25, 1.0],
         [0.7],  # a single action
-        [-0.0],
+        [0.0],
     ],
 )
 def test_q_select_argmax_matches_its_oracle(row):
@@ -282,32 +287,29 @@ def test_q_select_argmax_matches_its_oracle(row):
 @pytest.mark.parametrize(
     "row,n_actions,expected",
     [
-        ({}, 3, 0),
-        ({1: 0.0}, 3, 0),
-        ({0: -1.0}, 3, 1),  # an unstored 0.0 beats a stored negative
-        ({2: -0.0}, 3, 0),
-        ({0: -0.0, 2: 0.0}, 3, 0),  # a stored -0.0 ties the unstored zeros
-        ({1: -1.0, 0: -1.0, 3: -0.5}, 5, 2),
+        ({0: 0.0}, 3, 0),
+        ({1: 0.0}, 3, 0),  # the unstored action 0 ties the stored zero
+        ({1: 0.5}, 3, 1),
+        ({2: 0.0}, 3, 0),
+        ({0: 0.0, 2: 0.0}, 3, 0),
+        ({3: 0.5, 2: 1.0}, 5, 2),
         ({4: 0.3}, 5, 4),
         ({3: 2.0, 1: 2.0}, 5, 1),  # stored out of index order
-        ({2: -1.0, 0: -2.0, 1: -1.0}, 3, 1),  # full rows: no unstored zero
-        ({1: -0.0, 0: -1.0}, 2, 1),
-        ({2: 0.0, 1: -0.0, 0: -0.0}, 3, 0),
+        ({2: 1.0, 0: 0.5, 1: 1.0}, 3, 1),  # full rows: no unstored zero
+        ({1: 0.25, 0: 0.0}, 2, 1),
+        ({2: 0.0, 1: 0.0, 0: 0.0}, 3, 0),
         ({1: 2.5, 2: 2.5, 0: 1.0}, 3, 1),
-        ({0: -3.0}, 1, 0),
+        ({0: 3.0}, 1, 0),
     ],
 )
 def test_first_best_reads_unstored_actions_as_zero(row, n_actions, expected):
     dense = [row.get(action, 0.0) for action in range(n_actions)]
-    best = baselines._first_best(row, n_actions)
-    assert best == expected == dense.index(max(dense))
-    # the stored value or the unstored 0.0 there is max()'s own pick between -0.0 and 0.0
-    assert repr(row.get(best, 0.0)) == repr(max(dense))
+    assert baselines._first_best(row) == expected == dense.index(max(dense))
 
 
 def test_q_select_matches_its_oracle_on_random_tables():
     rng = np.random.default_rng(20)
-    levels = (-1.0, -0.0, 0.0, 0.5, 1.0)
+    levels = (0.0, 0.5, 1.0)
     for trial in range(2000):
         n_actions = int(rng.integers(1, 7))
         epsilon = float(rng.choice((0.0, 0.2, 1.0)))
@@ -331,15 +333,13 @@ def test_q_update_matches_its_oracle_on_random_backups():
     for trial in range(300):
         n_actions = int(rng.integers(1, 5))
         ours, theirs = QTable(n_actions=n_actions), QTable(n_actions=n_actions)
-        if rng.random() < 0.5:  # a seen row of signed zeros on some of the actions
-            zeros = [(-0.0, 0.0)[int(i)] for i in rng.integers(0, 2, n_actions)]
-            ours.entries[(0,)] = {a: v for a, v in enumerate(zeros) if rng.random() < 0.6}
-            theirs.entries[(0,)] = [ours.entries[(0,)].get(a, 0.0) for a in range(n_actions)]
+        if rng.random() < 0.5:  # a seen row of stored zeros on some of the actions
+            ours.entries[(0,)] = {a: 0.0 for a in range(n_actions) if rng.random() < 0.6}
+            theirs.entries[(0,)] = [0.0] * n_actions
         for _ in range(20):
             key, next_key = (int(rng.integers(0, 4)),), (int(rng.integers(0, 4)),)
             action = int(rng.integers(0, n_actions))
-            # negative rewards leave stored values below the unstored zeros a backup may read
-            reward = int(rng.integers(-2, 4)) if rng.random() < 0.8 else float(rng.choice((-1.0, -0.0, 0.5)))
+            reward = int(rng.integers(0, 4)) if rng.random() < 0.8 else float(rng.choice((0.0, 0.5, 2.5)))
             q_update(ours, key, action, reward, next_key)
             oracles.q_update(theirs, key, action, reward, next_key)
             assert _reprs(ours) == _reprs(theirs), trial
@@ -419,6 +419,34 @@ def test_qlearn_stores_at_most_one_value_per_backup():
     table = policy.inner.table
     assert table.n_actions == 1820  # C(16, 4)
     assert sum(len(row) for row in table.entries.values()) <= cfg.steps
+
+
+def test_qlearn_tables_hold_only_non_negative_values():
+    tables = [_episode(QLearningPolicy, _planner_scale_config())[0].inner.table]
+    for name in BUILTIN_SCENARIOS:
+        cfg = builtin_scenario(name)
+        assert cfg.base_seed == 42
+        for run in range(5):
+            policy = QLearningPolicy(cfg)
+            run_episode(cfg, policy, run, scenario=name)
+            tables.append(policy.table)
+    for table in tables:
+        values = [value for row in table.entries.values() for value in row.values()]
+        assert values and min(values) >= 0.0
+        assert all(math.copysign(1.0, value) == 1.0 for value in values)  # no -0.0
+
+
+def test_q_update_rejects_a_negative_or_non_finite_reward_before_touching_the_table():
+    cfg = builtin_scenario("default")
+    policy = QLearningPolicy(cfg)
+    run_episode(cfg, policy, 0, scenario="default")
+    table = policy.table
+    before = {key: dict(row) for key, row in table.entries.items()}
+    for key, next_key in ((next(iter(table.entries)), (0,) * 5), ((9,) * 5, (9,) * 5)):
+        for reward in (-1, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                q_update(table, key, 0, reward, next_key)
+            assert table.entries == before
 
 
 class _FreshObservations:

@@ -1,9 +1,13 @@
-"""The README's Python examples run as written, and its flags exist."""
+"""The README's Python examples run as written, and its flags and dotted names exist."""
 
 import argparse
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import dualmind
+from dualmind import DmwmScheduler, builtin_scenario, reset
 from dualmind.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -33,3 +37,27 @@ def test_readme_flags_are_cli_options():
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "\n".join(lines)))
     assert "--seed" in flags  # the pattern finds the README's flags
     assert flags <= _option_strings(build_parser())
+
+
+def test_readme_dotted_names_resolve():
+    # backticked names outside code blocks, such as `twin.step` or `DmwmScheduler.plans`
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.MULTILINE | re.DOTALL)
+    spans = re.findall(r"`([^`]+)`", prose)
+    names = {name for span in spans for name in re.findall(r"(?<![\w.])[A-Za-z_]\w*(?:\.\w+)+", span)}
+    modules = {info.name for info in pkgutil.iter_modules(dualmind.__path__)}
+    cfg = builtin_scenario("default")
+    instances = {"DmwmScheduler": DmwmScheduler(cfg), "TwinState": reset(cfg)}  # some attributes are per instance
+    checked = set()
+    for name in sorted(names):
+        head, *attributes = name.split(".")
+        if head in modules:
+            target = importlib.import_module(f"dualmind.{head}")
+        elif isinstance(getattr(dualmind, head, None), type):
+            target = instances.get(head, getattr(dualmind, head))
+        else:
+            continue  # a file name or another library's name
+        for attribute in attributes:
+            assert hasattr(target, attribute), name
+            target = getattr(target, attribute)
+        checked.add(name)
+    assert {"twin.step", "core.MAX_RATE", "DmwmScheduler.plans", "TwinState.expiring"} <= checked

@@ -238,17 +238,31 @@ def test_oversized_or_alien_schedule_rejected():
     state.queues[1].append(2)
     state.t = 3
     before = _snapshot(state)
-    # a non-numeric id is rejected before sorting or the range check compares it
-    alien = ((1.5,), (0, 1.0), (np.float64(1.0),), (-1,), (1, 1), (True,), (0, False), ("a",), (None,), (0, "a"))
+    # every id must be exactly a Python int; ids that do not compare fail in the sort
+    alien = (
+        (1.5,), (0, 1.0), (np.float64(1.0),), (np.int64(1),), (-1,), (1, 1),
+        (True,), (0, False), ("a",), (None,), (0, "a"),
+    )
     for schedule in alien:
         with pytest.raises(ValueError):
             step(state, schedule, quiet)
         assert _snapshot(state) == before, schedule
-    # Python and numpy integer ids are both accepted, and served names Python ints
-    served = step(state, (np.int64(1),), quiet).served
+    served = step(state, (1,), quiet).served
     assert served == (1,) and type(served[0]) is int
     assert step(state, (0,), quiet).served == (0,)
     assert state.deadline_violations == 1
+
+
+def test_one_shot_iterable_schedule_is_checked_and_served_once():
+    results = []
+    for schedule in ((0, 1, 2), (i for i in (0, 1, 2)), iter([0, 1, 2])):
+        state, quiet = _quiet_state()
+        for i in range(5):
+            state.queues[i].append(0)
+        served = step(state, schedule, quiet).served
+        results.append((served, state.schedule_matrix[0].tolist()))
+    assert results[0] == ((0, 1, 2), [True, True, True, False, False])
+    assert results[1] == results[2] == results[0]
 
 
 def test_negative_arrival_count_rejected():
