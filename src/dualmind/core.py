@@ -181,8 +181,9 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise InvalidConfig("max_scheduled", "need K >= 1")
     if cfg.max_scheduled > cfg.n_nodes:
         raise InvalidConfig("max_scheduled", "K>N")
-    if cfg.buffer < 1:
-        raise InvalidConfig("buffer", "buffer must be positive")
+    # the upper bound lets the twin store queue lengths as 4-byte C ints
+    if not 1 <= cfg.buffer < 2**31:
+        raise InvalidConfig("buffer", "buffer must lie in [1, 2**31)")
     if cfg.steps < 1:
         raise InvalidConfig("steps", "need at least one slot")
     if cfg.horizon < 1:

@@ -20,8 +20,10 @@ searches only on a miss. The memo holds at most one entry per slot and at
 most (H + 1)^N in all. It lives and dies with the run, like the decision
 trace: no cache outlives its scheduler or is shared between runs, so a
 run's decisions do not depend on which runs came before it or on how many
-workers run them. The fast mind is not memoized: it ranks the raw queues,
-which seldom repeat."""
+workers run them. The fast mind still runs on every fast slot: it ranks
+the raw queues, which seldom repeat. But its picks are shared per run:
+equal fast-mind schedules of one run hold one tuple, as memo hits share
+their record's, since a plain fast mind has at most C(N, K) answers."""
 
 from __future__ import annotations
 
@@ -97,6 +99,8 @@ class DmwmScheduler:
     slot that first searched it, or to 0 when it admits no feasible set. A
     miss keeps no gc-tracked object beyond that slot's record, which the
     trace keeps anyway; see icn.best_feasible for why that count matters.
+    picks maps each fast-mind schedule of the run to its first tuple, which
+    every later equal pick's record holds instead of its own.
     """
 
     name = "dmwm"
@@ -107,6 +111,7 @@ class DmwmScheduler:
         self.shift = cfg.horizon.bit_length()  # wide enough for a weight of H
         self.memo: dict[int, DecisionRecord | int] = {}
         self.trace: list[DecisionRecord] = []
+        self.picks: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.plans = best_feasible(cfg.max_scheduled, (1,) * cfg.n_nodes, self.masks)[0] > 0
 
     def decide(self, obs: Observation, rng) -> tuple[int, ...]:
@@ -142,6 +147,6 @@ class DmwmScheduler:
                 obs.q, cfg.deadlines, cfg.max_scheduled, cfg.conflict_graph,
                 conflict_aware=cfg.fallback_conflict_aware,
             )
-            plan = DecisionRecord(obs.t, Provenance.FAST_MIND, picked, 0, None)
+            plan = DecisionRecord(obs.t, Provenance.FAST_MIND, self.picks.setdefault(picked, picked), 0, None)
         self.trace.append(plan)
         return plan.nodes

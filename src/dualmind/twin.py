@@ -17,9 +17,11 @@ the step returns as next_obs.
 A step does no numpy work. Each run's per-slot records, its queue
 lengths and schedule flags, live in flat buffers of steps x nodes entries,
 filled slot by slot, and the numpy matrices are read from them, without a
-copy, once the run has ended. The drain-only model's one-step prediction
-error is not recorded: model_error_matrix derives it from those two
-matrices.
+copy, once the run has ended. Queue lengths are stored as 4-byte C ints
+(array("i"), read as np.intc): a queue never holds more than buffer
+packets, and validate_config bounds buffer below 2**31. The drain-only
+model's one-step prediction error is not recorded: model_error_matrix
+derives it from those two matrices.
 """
 
 from __future__ import annotations
@@ -90,12 +92,12 @@ class TwinState:
     arrivals_by_node: list[int]
     drops_by_node: list[int]
     expiring: tuple[tuple[deque[int], int], ...]
-    lengths: array  # queue lengths after arrivals
+    lengths: array  # queue lengths after arrivals, as C ints (each at most buffer < 2**31)
     scheduled: bytearray  # 1 where a node was scheduled
 
     @property
     def queue_length_timeseries(self) -> np.ndarray:
-        return _matrix(self.cfg, self.lengths, np.int64)
+        return _matrix(self.cfg, self.lengths, np.intc)
 
     @property
     def schedule_matrix(self) -> np.ndarray:
@@ -125,7 +127,7 @@ def reset(cfg: ScenarioConfig) -> TwinState:
         arrivals_by_node=[0] * cfg.n_nodes,
         drops_by_node=[0] * cfg.n_nodes,
         expiring=tuple((queue, limit) for queue, limit in zip(queues, cfg.deadlines) if limit is not None),
-        lengths=array("q", [0]) * cells,
+        lengths=array("i", [0]) * cells,
         scheduled=bytearray(cells),
     )
 
@@ -249,11 +251,14 @@ def model_error_matrix(queue_lengths: np.ndarray, schedule: np.ndarray) -> np.nd
     The model predicts that each scheduled node holding a packet loses one
     and nothing else changes. Row t is |q - (S_t & (q > 0)) - Q_t|, where
     Q_t and S_t are row t of queue_lengths and schedule and q is the state
-    the scheduler saw at slot t: Q_{t-1}, or zeros at slot 0.
+    the scheduler saw at slot t: Q_{t-1}, or zeros at slot 0. The error is
+    computed in int64 whatever the input's dtype, so unsigned lengths
+    cannot wrap.
     """
-    prev = np.zeros_like(queue_lengths)
-    prev[1:] = queue_lengths[:-1]
-    return np.abs(prev - (schedule & (prev > 0)) - queue_lengths)
+    lengths = queue_lengths.astype(np.int64)
+    prev = np.zeros_like(lengths)
+    prev[1:] = lengths[:-1]
+    return np.abs(prev - (schedule & (prev > 0)) - lengths)
 
 
 def metrics(state: TwinState) -> RunMetrics:

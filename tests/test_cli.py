@@ -194,6 +194,22 @@ def test_scenario_file_with_huge_deadline_is_rejected(tmp_path, capsys):
                  "--out", str(out)]) == 0
 
 
+def test_scenario_file_with_huge_buffer_is_rejected(tmp_path, capsys):
+    doc = scenario_to_dict(builtin_scenario("default"))
+    doc["buffer"] = 2**31
+    doc["steps"] = 5
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--policy", "lqf", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: buffer: buffer must lie in [1, 2**31)\n"
+    assert not out.exists()
+
+    doc["buffer"] = 2**31 - 1  # the largest accepted buffer runs
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--policy", "lqf", "--runs", "1", "--out", str(out)]) == 0
+
+
 def test_deeply_nested_scenario_file_is_rejected(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

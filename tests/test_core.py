@@ -73,11 +73,13 @@ def test_out_of_range_conflict_pair_rejected():
         ("deadlines", (None, 2**63, None, None, None)),
         ("lambda_base", (0.5, 0.5, 2000.0, 0.5, 0.5)),
         ("lambda_base", (1e6,) * 5),
+        ("buffer", 2**31),  # the twin stores queue lengths, at most buffer, as 4-byte C ints
     ],
 )
 def test_invalid_fields_rejected(field, value):
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig) as exc:
         validate_config(replace(make_cfg(), **{field: value}))
+    assert exc.value.field == field
 
 
 def test_peak_rate_capped():

@@ -396,6 +396,23 @@ def test_each_run_starts_with_an_empty_memo():
     assert a.decision_trace == b.decision_trace
 
 
+def test_equal_fast_mind_picks_of_a_run_share_one_tuple():
+    cfg = builtin_scenario("interference")  # no conflict-free 3-set: every slot is the fast mind's
+    scheduler = DmwmScheduler(cfg)
+    trace = run_episode(cfg, scheduler, run_index=0).decision_trace
+    assert {record.provenance for record in trace} == {Provenance.FAST_MIND}
+    first = {}
+    for record in trace:
+        assert first.setdefault(record.nodes, record.nodes) is record.nodes
+    assert 1 < len(first) <= comb(cfg.n_nodes, cfg.max_scheduled)
+    assert scheduler.picks == first
+    # no pick crosses runs
+    other = DmwmScheduler(cfg)
+    run_episode(cfg, other, run_index=0)
+    assert other.picks == scheduler.picks
+    assert not any(other.picks[key] is pick for key, pick in scheduler.picks.items())
+
+
 def test_plans_only_when_some_conflict_free_k_set_does():
     assert not DmwmScheduler(builtin_scenario("interference")).plans  # 5-ring, K=3
     assert DmwmScheduler(builtin_scenario("default")).plans

@@ -272,12 +272,22 @@ def test_parallel_workers_match_sequential():
     records = _assert_parallel_matches(2, scenarios=builtin_entries(("default", "bursty"), steps=40), runs=3)
     assert len(records) == 2 * len(POLICY_NAMES) * 3
     # another grid on the now-warm pool: other scenarios, policies, steps and runs
-    _assert_parallel_matches(
+    records += _assert_parallel_matches(
         2,
         scenarios=builtin_entries(("deadline", "interference"), steps=25, base_seed=9),
         policies=("qlearn", "dmwm", "rr"),
         runs=5,
     )
+    # the records' widths and the fast mind's shared picks survive the worker pipe
+    assert all(r.queue_lengths.dtype == np.intc and r.queue_lengths.itemsize == 4 for r in records)
+    fast = [r for r in records if r.scenario == "interference" and r.policy == "dmwm"]
+    assert len(fast) == 5
+    for record in fast:
+        first = {}
+        for decision in record.decision_trace:
+            assert decision.provenance is Provenance.FAST_MIND
+            assert first.setdefault(decision.nodes, decision.nodes) is decision.nodes
+        assert len(first) < len(record.decision_trace)
 
 
 def test_parallel_calls_reuse_one_pool():

@@ -45,6 +45,13 @@ def test_reset_empty_and_sized():
     assert total == 0
     assert state.queue_length_timeseries.shape == (200, 5)
     assert state.schedule_matrix.shape == (200, 5)
+    # queue lengths are 4-byte C ints, read without a copy
+    lengths = state.queue_length_timeseries
+    assert lengths.dtype == np.intc and lengths.itemsize == 4
+    assert lengths.nbytes == cfg.steps * cfg.n_nodes * 4
+    assert np.shares_memory(lengths, np.frombuffer(state.lengths, dtype=np.intc))
+    state.lengths[7 * cfg.n_nodes] = 9  # a write to the buffer shows through the matrix
+    assert lengths[7, 0] == 9
 
 
 def test_observe_empty_queue():
@@ -187,6 +194,11 @@ def test_model_error_matrix_hand_cases():
     assert errors.dtype == np.int64
     assert errors.tolist() == [[3, 0], [0, 2], [0, 0]]
     assert errors[0].tolist() == state.queue_length_timeseries[0].tolist()
+    # computed in int64, so unsigned input cannot wrap: a node gains a packet
+    # unscheduled (error 1), then is served as predicted
+    errors = model_error_matrix(np.array([[0], [1], [0]], np.uint8), np.array([[False], [False], [True]]))
+    assert errors.dtype == np.int64
+    assert errors.tolist() == [[0], [1], [0]]
 
 
 def test_simulation_ended():
@@ -309,7 +321,7 @@ def _oracle_reset(cfg):
         deadline_violations=0,
         arrivals_by_node=np.zeros(cfg.n_nodes, dtype=np.int64),
         drops_by_node=np.zeros(cfg.n_nodes, dtype=np.int64),
-        queue_length_timeseries=np.zeros(shape, dtype=np.int64),
+        queue_length_timeseries=np.zeros(shape, dtype=np.intc),
         schedule_matrix=np.zeros(shape, dtype=bool),
     )
 
