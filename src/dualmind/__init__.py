@@ -7,8 +7,9 @@ fallback), five baseline policies, and a campaign harness that aggregates
 metrics over seeded runs.
 
 Every policy's decide(observation, rng) returns the slot's schedule as a
-sorted tuple of node ids; the dual-mind scheduler also logs a
-DecisionRecord per slot saying which mind chose it. The twin keeps each
+sorted tuple of node ids; the dual-mind scheduler also traces which mind
+chose each slot's schedule, one DecisionRecord per distinct decision of a
+run, shared by every slot that takes it. The twin keeps each
 node's queue as a deque of packet arrival slots; its step takes the slot's
 per-node arrival counts, drawn for a whole run by draw_arrivals, and
 returns the next slot's observation with the slot's outcome.

@@ -22,8 +22,11 @@ trace: no cache outlives its scheduler or is shared between runs, so a
 run's decisions do not depend on which runs came before it or on how many
 workers run them. The fast mind still runs on every fast slot: it ranks
 the raw queues, which seldom repeat. But its picks are shared per run:
-equal fast-mind schedules of one run hold one tuple, as memo hits share
-their record's, since a plain fast mind has at most C(N, K) answers."""
+equal fast-mind schedules of one run share one record, as memo hits share
+theirs, since a plain fast mind has at most C(N, K) answers. So each
+distinct decision of a run is one DecisionRecord, and the trace holds it
+once for every slot that takes it; a record's index in the trace is its
+slot."""
 
 from __future__ import annotations
 
@@ -76,13 +79,14 @@ def fast_mind_select(
 
 
 class DecisionRecord(NamedTuple):
-    """Audit row for one scheduling decision.
+    """Audit row for one distinct scheduling decision of a run.
 
-    A named tuple, like twin.Observation: dmwm builds one every slot, and a
-    tuple is built in about a third of a frozen dataclass's time.
+    It holds only what the decision determines, no slot: its index in
+    DmwmScheduler.trace is its slot, and every slot of the run that takes
+    the same decision holds the same object. A named tuple, like
+    twin.Observation.
     """
 
-    slot: int
     provenance: Provenance
     nodes: tuple[int, ...]
     feasible_count: int
@@ -95,12 +99,12 @@ class DmwmScheduler:
     plans is False when no max_scheduled nodes are pairwise free of
     conflicts, whatever the queues: decide then never searches and every
     slot goes to the fast mind. memo maps each weight vector searched so
-    far, packed into one int with shift bits a node, to the record of the
-    slot that first searched it, or to 0 when it admits no feasible set. A
-    miss keeps no gc-tracked object beyond that slot's record, which the
-    trace keeps anyway; see icn.best_feasible for why that count matters.
-    picks maps each fast-mind schedule of the run to its first tuple, which
-    every later equal pick's record holds instead of its own.
+    far, packed into one int with shift bits a node, to the record its
+    search made, or to 0 when it admits no feasible set. picks maps each
+    fast-mind schedule of the run to its record. A memo hit or a repeated
+    pick appends that record again, so it keeps no new gc-tracked object,
+    and a miss or a new pick keeps only its record; see icn.best_feasible
+    for why that count matters.
     """
 
     name = "dmwm"
@@ -111,15 +115,15 @@ class DmwmScheduler:
         self.shift = cfg.horizon.bit_length()  # wide enough for a weight of H
         self.memo: dict[int, DecisionRecord | int] = {}
         self.trace: list[DecisionRecord] = []
-        self.picks: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.picks: dict[tuple[int, ...], DecisionRecord] = {}
         self.plans = best_feasible(cfg.max_scheduled, (1,) * cfg.n_nodes, self.masks)[0] > 0
 
     def decide(self, obs: Observation, rng) -> tuple[int, ...]:
         """One slot's schedule: slow mind whenever any feasible schedule exists, else fast mind.
 
         The schedule is a sorted tuple, and the slot's DecisionRecord goes onto
-        the trace. A memo hit copies the first record of these weights under
-        this slot, sharing its nodes tuple.
+        the trace: a memo hit appends the record of these weights' search, and
+        a repeated fast-mind pick the record of its first.
         """
         cfg = self.cfg
         plan = 0  # the slow mind's record, or 0 when it has none
@@ -136,17 +140,17 @@ class DmwmScheduler:
                         key |= w
                 i += 1
             plan = self.memo.get(key)
-            if plan is None:  # a miss: search, and keep this slot's record as the answer
+            if plan is None:  # a miss: search, and keep the record as the answer
                 count, schedule, score = best_feasible(cfg.max_scheduled, weights, self.masks)
-                plan = DecisionRecord(obs.t, Provenance.SLOW_MIND, schedule, count, score) if count else 0
+                plan = DecisionRecord(Provenance.SLOW_MIND, schedule, count, score) if count else 0
                 self.memo[key] = plan
-            elif plan:  # a hit: the first record's answer, under this slot
-                plan = DecisionRecord(obs.t, Provenance.SLOW_MIND, plan.nodes, plan.feasible_count, plan.best_reward)
         if not plan:  # no feasible set, or none searched
             picked = fast_mind_select(
                 obs.q, cfg.deadlines, cfg.max_scheduled, cfg.conflict_graph,
                 conflict_aware=cfg.fallback_conflict_aware,
             )
-            plan = DecisionRecord(obs.t, Provenance.FAST_MIND, self.picks.setdefault(picked, picked), 0, None)
+            plan = self.picks.get(picked)
+            if plan is None:
+                plan = self.picks[picked] = DecisionRecord(Provenance.FAST_MIND, picked, 0, None)
         self.trace.append(plan)
         return plan.nodes

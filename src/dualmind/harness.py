@@ -345,4 +345,6 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 
 def write_decision_trace_csv(path, trace: Sequence[DecisionRecord]) -> None:
-    _write_csv(path, DecisionRecord._fields, ([_fmt(value) for value in rec] for rec in trace))
+    """One row per slot: the record's index in the trace, then the record's fields."""
+    rows = ([t] + [_fmt(value) for value in rec] for t, rec in enumerate(trace))
+    _write_csv(path, ("slot",) + DecisionRecord._fields, rows)

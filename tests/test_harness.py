@@ -199,18 +199,24 @@ def test_result_columns_are_pinned():
 
 
 def test_decision_trace_columns_are_pinned(tmp_path):
-    assert DecisionRecord._fields == ("slot", "provenance", "nodes", "feasible_count", "best_reward")
+    assert DecisionRecord._fields == ("provenance", "nodes", "feasible_count", "best_reward")
+    shared = DecisionRecord(Provenance.SLOW_MIND, (0, 2, 4), 7, 3)
     trace = [
-        DecisionRecord(0, Provenance.SLOW_MIND, (0, 2, 4), 7, 3),
-        DecisionRecord(1, Provenance.FAST_MIND, (1,), 0, None),
-        DecisionRecord(2, Provenance.FAST_MIND, (), 0, None),
+        shared,
+        DecisionRecord(Provenance.FAST_MIND, (1,), 0, None),
+        shared,
+        DecisionRecord(Provenance.FAST_MIND, (), 0, None),
+        shared,
     ]
     write_decision_trace_csv(tmp_path / "decisions.csv", trace)
+    # the slot column is each record's index in the trace; a repeated record differs only there
     assert (tmp_path / "decisions.csv").read_text().splitlines() == [
         "slot,provenance,nodes,feasible_count,best_reward",
         "0,slow_mind,0 2 4,7,3",
         "1,fast_mind,1,0,",
-        "2,fast_mind,,0,",
+        "2,slow_mind,0 2 4,7,3",
+        "3,fast_mind,,0,",
+        "4,slow_mind,0 2 4,7,3",
     ]
 
 
@@ -253,7 +259,11 @@ def _assert_parallel_matches(workers, **grid):
     assert len(sequential) == len(parallel)
     for a, b in zip(sequential, parallel):
         assert _records_equal(a, b), (a.scenario, a.policy, a.run_index)
-    return parallel
+    return sequential, parallel
+
+
+def _distinct_records(record):
+    return len({id(decision) for decision in record.decision_trace})
 
 
 def _worker_pids():
@@ -269,24 +279,32 @@ def _alive(pid):
 
 
 def test_parallel_workers_match_sequential():
-    records = _assert_parallel_matches(2, scenarios=builtin_entries(("default", "bursty"), steps=40), runs=3)
+    sequential, records = _assert_parallel_matches(
+        2, scenarios=builtin_entries(("default", "bursty"), steps=40), runs=3
+    )
     assert len(records) == 2 * len(POLICY_NAMES) * 3
     # another grid on the now-warm pool: other scenarios, policies, steps and runs
-    records += _assert_parallel_matches(
+    more_sequential, more = _assert_parallel_matches(
         2,
         scenarios=builtin_entries(("deadline", "interference"), steps=25, base_seed=9),
         policies=("qlearn", "dmwm", "rr"),
         runs=5,
     )
-    # the records' widths and the fast mind's shared picks survive the worker pipe
+    sequential += more_sequential
+    records += more
+    # the records' widths and each run's shared decision records survive the worker pipe
     assert all(r.queue_lengths.dtype == np.intc and r.queue_lengths.itemsize == 4 for r in records)
+    planner = [(a, b) for a, b in zip(sequential, records) if b.policy == "dmwm"]
+    assert len(planner) == 2 * 3 + 2 * 5
+    for alone, record in planner:
+        assert _distinct_records(record) == _distinct_records(alone) < len(record.decision_trace)
     fast = [r for r in records if r.scenario == "interference" and r.policy == "dmwm"]
     assert len(fast) == 5
     for record in fast:
         first = {}
         for decision in record.decision_trace:
             assert decision.provenance is Provenance.FAST_MIND
-            assert first.setdefault(decision.nodes, decision.nodes) is decision.nodes
+            assert first.setdefault(decision.nodes, decision) is decision
         assert len(first) < len(record.decision_trace)
 
 
