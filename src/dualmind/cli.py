@@ -10,6 +10,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     BUILTIN_SCENARIOS,
     InvalidConfig,
@@ -25,7 +27,6 @@ from .dmwm import DmwmScheduler
 from .harness import (
     POLICY_NAMES,
     aggregate,
-    make_policy,
     run_episode,
     run_experiment,
     write_decision_trace_csv,
@@ -34,7 +35,7 @@ from .harness import (
     write_summary_csv,
     write_summary_json,
 )
-from .twin import model_error_matrix
+from .twin import StepOutcome, model_error_matrix
 
 OUT_DIR_ENV = "DUALMIND_OUT"
 
@@ -71,14 +72,14 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
     return validate_config(replace(cfg, **overrides))
 
 
-def _warn_if_never_planned(name: str, cfg: ScenarioConfig) -> None:
+def _warn_if_never_planned(name: str, scheduler: DmwmScheduler) -> None:
     """One stderr line when no K nodes are pairwise free of conflicts: dmwm never plans.
 
     The commands print it once their run has succeeded; it changes no output file.
     """
-    if not DmwmScheduler(cfg).plans:
+    if not scheduler.plans:
         print(
-            f"warning: scenario {name} has no {cfg.max_scheduled} pairwise conflict-free nodes, "
+            f"warning: scenario {name} has no {scheduler.cfg.max_scheduled} pairwise conflict-free nodes, "
             "so dmwm's slow mind never plans and every slot goes to the fast mind",
             file=sys.stderr,
         )
@@ -106,7 +107,7 @@ def _run_and_write(
     )
     if "dmwm" in policies:
         for name, cfg in scenarios:
-            _warn_if_never_planned(name, cfg)
+            _warn_if_never_planned(name, DmwmScheduler(cfg))
     aggs = aggregate(records)
     out = _ensure_out(args)
     write_runs_csv(out / "runs.csv", records)
@@ -154,17 +155,33 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
+class _TracedScheduler(DmwmScheduler):
+    """dmwm that also keeps each slot's queue lengths after arrivals.
+
+    run_episode hands every slot's outcome to update, and its next_obs.q is that row.
+    """
+
+    def __init__(self, cfg: ScenarioConfig):
+        super().__init__(cfg)
+        self.queue_rows: list[tuple[int, ...]] = []
+
+    def update(self, schedule: tuple[int, ...], outcome: StepOutcome) -> None:
+        self.queue_rows.append(outcome.next_obs.q)
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     name, cfg = _resolve_scenario(args.scenario)
     cfg = _apply_overrides(cfg, args)
-    policy = make_policy("dmwm", cfg)
+    policy = _TracedScheduler(cfg)
     record = run_episode(cfg, policy, args.run_index, scenario=name)
-    _warn_if_never_planned(name, cfg)
+    _warn_if_never_planned(name, policy)
+    # a decision's index in the trace is its slot; buffer < 2**31 fits each length in a C int
+    schedule = np.array([[i in rec.nodes for i in range(cfg.n_nodes)] for rec in record.decision_trace])
+    queue_lengths = np.array(policy.queue_rows, dtype=np.intc)
     out = _ensure_out(args)
-    write_matrix_csv(out / "schedule.csv", record.schedule_matrix.astype(int))
-    errors = model_error_matrix(record.queue_lengths, record.schedule_matrix)
-    write_matrix_csv(out / "model_error.csv", errors)
-    write_matrix_csv(out / "queue_lengths.csv", record.queue_lengths)
+    write_matrix_csv(out / "schedule.csv", schedule.astype(int))
+    write_matrix_csv(out / "model_error.csv", model_error_matrix(queue_lengths, schedule))
+    write_matrix_csv(out / "queue_lengths.csv", queue_lengths)
     write_decision_trace_csv(out / "decisions.csv", record.decision_trace)
     slow = sum(1 for rec in record.decision_trace if rec.provenance is Provenance.SLOW_MIND)
     print(
@@ -177,7 +194,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_scenario_show(args: argparse.Namespace) -> int:
     name, cfg = _resolve_scenario(args.name)
-    _warn_if_never_planned(name, cfg)
+    _warn_if_never_planned(name, DmwmScheduler(cfg))
     print(json.dumps(scenario_to_dict(cfg), indent=2, sort_keys=True))
     return 0
 

@@ -181,7 +181,7 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise InvalidConfig("max_scheduled", "need K >= 1")
     if cfg.max_scheduled > cfg.n_nodes:
         raise InvalidConfig("max_scheduled", "K>N")
-    # the upper bound lets the twin store queue lengths as 4-byte C ints
+    # the upper bound lets dualmind trace hold its queue-length matrix as 4-byte C ints (np.intc)
     if not 1 <= cfg.buffer < 2**31:
         raise InvalidConfig("buffer", "buffer must lie in [1, 2**31)")
     if cfg.steps < 1:

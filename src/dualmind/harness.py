@@ -75,11 +75,10 @@ def make_policy(name: str, cfg: ScenarioConfig):
 
 @dataclass
 class RunRecord:
-    """Everything one episode produced: metrics, counters, diagnostic matrices.
+    """Everything one episode produced: metrics, counters and dmwm's decision trace.
 
-    The run's arrival total and final backlog are read from the per-node
-    arrivals and the last row of queue lengths; its model-error matrix is
-    twin.model_error_matrix(queue_lengths, schedule_matrix).
+    The run's arrival total is read from the per-node arrivals; final_backlog
+    is the packets still queued after its last slot.
     """
 
     scenario: str
@@ -87,19 +86,14 @@ class RunRecord:
     run_index: int
     metrics: RunMetrics
     delivered: int
+    final_backlog: int
     arrivals_by_node: np.ndarray
     drops_by_node: np.ndarray
-    queue_lengths: np.ndarray
-    schedule_matrix: np.ndarray
     decision_trace: list[DecisionRecord] | None
 
     @property
     def arrivals(self) -> int:
         return int(self.arrivals_by_node.sum())
-
-    @property
-    def final_backlog(self) -> int:
-        return int(self.queue_lengths[-1].sum())
 
 
 @lru_cache(maxsize=1)
@@ -141,10 +135,9 @@ def run_episode(cfg: ScenarioConfig, policy, run_index: int, scenario: str = "")
         run_index=run_index,
         metrics=metrics(state),
         delivered=state.delivered,
+        final_backlog=sum(obs.q),  # obs is the observation after the last slot
         arrivals_by_node=np.array(state.arrivals_by_node, dtype=np.int64),
         drops_by_node=np.array(state.drops_by_node, dtype=np.int64),
-        queue_lengths=state.queue_length_timeseries,
-        schedule_matrix=state.schedule_matrix,
         decision_trace=list(trace) if trace is not None else None,
     )
 

@@ -10,23 +10,18 @@ a run up front, so policies sharing a run's traffic can share the rows.
 A step sorts the schedule once and checks it in one pass over the sorted
 ids. Each phase after that is one pass: one over the queues that carry a
 deadline (listed once by reset) to purge, one over the sorted schedule to
-serve and flag, and one over every node to admit arrivals, record the
-slot's queue lengths and build the observation of the next slot, which
-the step returns as next_obs.
+serve, and one over every node to admit arrivals and build the
+observation of the next slot, which the step returns as next_obs.
 
-A step does no numpy work. Each run's per-slot records, its queue
-lengths and schedule flags, live in flat buffers of steps x nodes entries,
-filled slot by slot, and the numpy matrices are read from them, without a
-copy, once the run has ended. Queue lengths are stored as 4-byte C ints
-(array("i"), read as np.intc): a queue never holds more than buffer
-packets, and validate_config bounds buffer below 2**31. The drain-only
-model's one-step prediction error is not recorded: model_error_matrix
-derives it from those two matrices.
+A step does no numpy work and keeps no per-slot record: a run's state is
+its queues and its totals, one of which sums every slot's queue lengths
+for avg_queue. A caller that wants per-slot history records it from the
+outcomes, as dualmind trace does; model_error_matrix derives the
+drain-only model's one-step prediction error from such a recording.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
@@ -72,15 +67,13 @@ class RunMetrics:
 
 @dataclass
 class TwinState:
-    """All mutable state of one run: queues, counters, per-slot records.
+    """All mutable state of one run: queues and counters.
 
     queues[i] holds one arrival slot per packet waiting at node i, oldest
     first. Static per-node facts (rate, deadline, burst membership) stay in
     cfg, and run totals of arrivals and drops are sums of the per-node lists.
     expiring pairs each queue whose node has a deadline with that deadline,
-    so the purge visits only those queues. The per-slot records, queue lengths and schedule flags, are flat buffers
-    with slot t's row at t * n_nodes; the matrix properties read them as
-    steps x nodes numpy arrays, with zero rows for slots not yet run.
+    so the purge visits only those queues.
     """
 
     cfg: ScenarioConfig
@@ -92,30 +85,11 @@ class TwinState:
     arrivals_by_node: list[int]
     drops_by_node: list[int]
     expiring: tuple[tuple[deque[int], int], ...]
-    lengths: array  # queue lengths after arrivals, as C ints (each at most buffer < 2**31)
-    scheduled: bytearray  # 1 where a node was scheduled
-
-    @property
-    def queue_length_timeseries(self) -> np.ndarray:
-        return _matrix(self.cfg, self.lengths, np.intc)
-
-    @property
-    def schedule_matrix(self) -> np.ndarray:
-        return _matrix(self.cfg, self.scheduled, bool)
-
-
-def _matrix(cfg: ScenarioConfig, buffer, dtype) -> np.ndarray:
-    """A steps x nodes view of one flat per-run buffer; it shares the buffer's memory.
-
-    One ndarray straight on the buffer: np.frombuffer(...).reshape(...) would
-    keep a memoryview and a second ndarray alive in every run record.
-    """
-    return np.ndarray((cfg.steps, cfg.n_nodes), dtype=dtype, buffer=buffer)
+    queue_total: int  # every slot's queue lengths after arrivals, summed
 
 
 def reset(cfg: ScenarioConfig) -> TwinState:
-    """Fresh run state: empty queues, zeroed counters, zero-filled per-slot buffers."""
-    cells = cfg.steps * cfg.n_nodes
+    """Fresh run state: empty queues, zeroed counters."""
     queues = [deque() for _ in range(cfg.n_nodes)]
     return TwinState(
         cfg=cfg,
@@ -127,8 +101,7 @@ def reset(cfg: ScenarioConfig) -> TwinState:
         arrivals_by_node=[0] * cfg.n_nodes,
         drops_by_node=[0] * cfg.n_nodes,
         expiring=tuple((queue, limit) for queue, limit in zip(queues, cfg.deadlines) if limit is not None),
-        lengths=array("i", [0]) * cells,
-        scheduled=bytearray(cells),
+        queue_total=0,
     )
 
 
@@ -159,7 +132,8 @@ def step(state: TwinState, schedule: Iterable[int], counts: Sequence[int]) -> St
     schedule is an iterable of distinct node ids, each exactly a Python int
     (not a bool or a numpy integer); it is read once. counts holds the slot's
     arrivals per node as non-negative Python ints, as a row of
-    draw_arrivals does. Service is one packet per scheduled node, in node
+    draw_arrivals does; it is read by index, counts[0] to counts[n - 1], and
+    checked the same way. Service is one packet per scheduled node, in node
     order; a scheduled node with an empty queue wastes its slot. A rejected
     schedule or row raises ValueError and leaves the state untouched. The
     outcome carries the observation of the next slot, equal to
@@ -185,13 +159,17 @@ def step(state: TwinState, schedule: Iterable[int], counts: Sequence[int]) -> St
         previous = i
     if order and not (0 <= order[0] and order[-1] < n):
         raise ValueError("schedule names an unknown node")
-    if len(counts) != n:
-        raise ValueError("need one arrival count per node")
-    for count in counts:
-        if type(count) is not int:
-            raise ValueError("arrival counts must be integers")
-        if count < 0:
-            raise ValueError("arrival counts cannot be negative")
+    try:
+        if len(counts) != n:
+            raise ValueError("need one arrival count per node")
+        for i in range(n):  # by index, as the arrivals are read: a mapping's keys are not its counts
+            count = counts[i]
+            if type(count) is not int:
+                raise ValueError("arrival counts must be integers")
+            if count < 0:
+                raise ValueError("arrival counts cannot be negative")
+    except (TypeError, LookupError):  # no length, or no count at some index 0..n-1
+        raise ValueError("arrival counts are not a sequence of one count per node") from None
     queues = state.queues
 
     # 1) deadline purge: expired packets leave the queue and count as violations
@@ -203,14 +181,10 @@ def step(state: TwinState, schedule: Iterable[int], counts: Sequence[int]) -> St
             new_violations += 1
     state.deadline_violations += new_violations
 
-    # 2) service: each scheduled node with a backlog sends its head packet;
-    # every scheduled node is flagged in row t
-    row = t * n
-    flags = state.scheduled
+    # 2) service: each scheduled node with a backlog sends its head packet
     served: list[int] = []
     delay = 0
     for i in order:
-        flags[row + i] = 1
         queue = queues[i]
         if queue:
             served.append(i)
@@ -219,8 +193,7 @@ def step(state: TwinState, schedule: Iterable[int], counts: Sequence[int]) -> St
     state.total_delay += delay
 
     # 3) arrivals: enqueue up to the buffer bound, count overflow as drops;
-    # 4) accounting: record the slot's lengths at row t and observe slot t + 1
-    lengths = state.lengths
+    # 4) accounting: add the slot's lengths to the run's total and observe slot t + 1
     buffer = cfg.buffer
     next_t = t + 1
     new_drops = 0
@@ -237,9 +210,9 @@ def step(state: TwinState, schedule: Iterable[int], counts: Sequence[int]) -> St
                 new_drops += count - admitted
                 state.drops_by_node[i] += count - admitted
         length = len(queue)
-        lengths[row + i] = length
         q.append(length)
         ages.append(next_t - queue[0] if length else None)
+    state.queue_total += sum(q)
     state.t = next_t
 
     return StepOutcome(tuple(served), new_violations, new_drops, Observation(tuple(q), tuple(ages), next_t))
@@ -268,7 +241,7 @@ def metrics(state: TwinState) -> RunMetrics:
     return RunMetrics(
         throughput=delivered / cfg.steps,
         # one exact integer sum and one rounding: numpy's float mean while the sum is below 2**53
-        avg_queue=sum(state.lengths) / (cfg.steps * cfg.n_nodes),
+        avg_queue=state.queue_total / (cfg.steps * cfg.n_nodes),
         avg_delay=state.total_delay / delivered if delivered else 0.0,
         violations=state.deadline_violations,
         drops=sum(state.drops_by_node),

@@ -5,8 +5,11 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from dualmind.core import BUILTIN_SCENARIOS, ConflictGraph, Provenance, ScenarioConfig, builtin_scenario
 from dualmind.dmwm import DmwmScheduler
+from dualmind.harness import run_episode
 from dualmind.traffic import TrafficStreams, generate_arrivals
 from dualmind.twin import Observation
 
@@ -60,6 +63,29 @@ def make_cfg(
         fallback_conflict_aware=fallback_conflict_aware,
         base_seed=base_seed,
     )
+
+
+def recorded_episode(cfg, policy, run_index=0, scenario=""):
+    """run_episode and the run's per-slot history: (record, queue_lengths, schedule).
+
+    The twin keeps no per-slot record, so this one is taken from the outcome
+    run_episode hands to update each slot, before the policy's own update if
+    it has one. queue_lengths holds each slot's lengths after arrivals, as
+    np.intc like dualmind trace's, and schedule each slot's scheduled nodes
+    as bools; both are steps x nodes.
+    """
+    lengths, flags = [], []
+    learn = getattr(policy, "update", None)
+
+    def update(schedule, outcome):
+        lengths.append(outcome.next_obs.q)
+        flags.append([i in schedule for i in range(cfg.n_nodes)])
+        if learn is not None:
+            learn(schedule, outcome)
+
+    policy.update = update
+    record = run_episode(cfg, policy, run_index, scenario)
+    return record, np.array(lengths, dtype=np.intc), np.array(flags, dtype=bool)
 
 
 def no_draw():

@@ -14,10 +14,19 @@ import pytest
 from dualmind.baselines import QTable, q_select, q_update
 from dualmind.core import ConflictGraph, Provenance
 from dualmind import cli
-from dualmind.harness import aggregate, run_experiment
+from dualmind.harness import aggregate, make_policy, run_experiment
 from dualmind.traffic import make_rng
 from dualmind.twin import model_error_matrix
-from helpers import GOLDEN_DIR, GOLDEN_SHA256, make_cfg, poisson_counts, random_state, search, sha256_of
+from helpers import (
+    GOLDEN_DIR,
+    GOLDEN_SHA256,
+    make_cfg,
+    poisson_counts,
+    random_state,
+    recorded_episode,
+    search,
+    sha256_of,
+)
 from oracles import drain_rollout, feasible_sets, first_best
 
 
@@ -146,12 +155,12 @@ def test_c07_poisson_sampler_moments():
 
 def test_c08_model_error_tracks_admitted_arrivals():
     cfg = make_cfg(lam=0.3, steps=200, base_seed=42)
-    records = run_experiment(scenarios=[("lowrate", cfg)], policies=["dmwm"], runs=30)
     error_total = np.zeros(cfg.n_nodes)
     admitted_total = np.zeros(cfg.n_nodes)
     slots = 0
-    for rec in records:
-        error_total += model_error_matrix(rec.queue_lengths, rec.schedule_matrix).sum(axis=0)
+    for run_index in range(30):
+        rec, queue_lengths, schedule = recorded_episode(cfg, make_policy("dmwm", cfg), run_index, "lowrate")
+        error_total += model_error_matrix(queue_lengths, schedule).sum(axis=0)
         admitted_total += rec.arrivals_by_node - rec.drops_by_node
         slots += cfg.steps
     mean_error = error_total / slots

@@ -36,7 +36,7 @@ from dualmind.dmwm import DmwmScheduler
 from dualmind.harness import run_episode
 from dualmind.traffic import make_rng
 from dualmind.twin import Observation
-from helpers import make_cfg
+from helpers import make_cfg, recorded_episode
 
 
 def test_random_full_set_when_k_equals_n():
@@ -388,9 +388,9 @@ class _Recorder:
 
 
 def _episode(factory, cfg):
+    """The recorder and recorded_episode's (record, queue_lengths, schedule) of run 0."""
     recorder = _Recorder(factory(cfg))
-    record = run_episode(cfg, recorder, 0, scenario="planner_scale")
-    return recorder, record
+    return recorder, recorded_episode(cfg, recorder, 0, "planner_scale")
 
 
 @pytest.mark.parametrize(
@@ -401,11 +401,11 @@ def test_baselines_match_their_oracles_on_the_16_node_episode(factory, monkeypat
     with monkeypatch.context() as m:
         for name in ("lqf_select", "deadline_priority_select", "fair_rr_select", "q_select", "q_update"):
             m.setattr(baselines, name, getattr(oracles, name))
-        reference, reference_record = _episode(factory, cfg)
-    ours, record = _episode(factory, cfg)
+        reference, (reference_record, _, reference_schedule) = _episode(factory, cfg)
+    ours, (record, _, schedule) = _episode(factory, cfg)
     assert len(ours.schedules) == cfg.steps
     assert ours.schedules == reference.schedules
-    assert np.array_equal(record.schedule_matrix, reference_record.schedule_matrix)
+    assert np.array_equal(schedule, reference_schedule)
     assert repr(astuple(record.metrics)) == repr(astuple(reference_record.metrics))
     if factory is QLearningPolicy:
         assert len(ours.inner.table.entries) > 1

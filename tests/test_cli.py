@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from dualmind.cli import main
-from dualmind.core import BUILTIN_SCENARIOS, builtin_scenario, scenario_to_dict
-from helpers import GOLDEN_SHA256, sha256_of
+from dualmind.core import BUILTIN_SCENARIOS, Provenance, builtin_scenario, scenario_to_dict, validate_config
+from dualmind.dmwm import DmwmScheduler
+from dualmind.twin import model_error_matrix
+from helpers import GOLDEN_SHA256, make_cfg, recorded_episode, sha256_of
 
 
 def test_scenario_show_round_trips(capsys):
@@ -259,6 +261,38 @@ def test_trace_exports_matrices(tmp_path):
     decisions = (out / "decisions.csv").read_text().strip().splitlines()[1:]
     provenances = {line.split(",")[1] for line in decisions}
     assert provenances <= {"slow_mind", "fast_mind"}
+
+
+def _csv_rows(path):
+    """A trace file's data rows as lists of cells, after checking that column 0 counts the slots."""
+    lines = path.read_text().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    assert [row[0] for row in rows] == [str(t) for t in range(len(rows))], path.name
+    return [row[1:] for row in rows]
+
+
+def test_trace_files_match_an_independent_recording(tmp_path):
+    # off the golden path: a scenario file with a tight buffer and short deadlines, at seed 5
+    cfg = make_cfg(
+        n_nodes=4, max_scheduled=2, buffer=3, steps=120, lam=1.1,
+        deadlines=(2, 3, None, 2), pairs=[(0, 1), (2, 3)], base_seed=5,
+    )
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps(scenario_to_dict(validate_config(cfg))))
+    out = tmp_path / "t"
+    assert main(["trace", "--scenario", str(path), "--seed", "5", "--run-index", "2", "--out", str(out)]) == 0
+    record, queue_lengths, schedule = recorded_episode(cfg, DmwmScheduler(cfg), 2, "tight")
+    m = record.metrics
+    assert m.drops > 0 and m.violations > 0  # the buffer overflows and the deadlines purge
+    assert {d.provenance for d in record.decision_trace} == {Provenance.SLOW_MIND, Provenance.FAST_MIND}
+
+    assert [[int(v) for v in row] for row in _csv_rows(out / "queue_lengths.csv")] == queue_lengths.tolist()
+    nodes = [row[1] for row in _csv_rows(out / "decisions.csv")]
+    assert nodes == [" ".join(map(str, d.nodes)) for d in record.decision_trace]
+    flags = [[i for i, v in enumerate(row) if v == "1"] for row in _csv_rows(out / "schedule.csv")]
+    assert [" ".join(map(str, row)) for row in flags] == nodes
+    errors = [[int(v) for v in row] for row in _csv_rows(out / "model_error.csv")]
+    assert errors == model_error_matrix(queue_lengths, schedule).tolist()
 
 
 @pytest.mark.parametrize("scenario", BUILTIN_SCENARIOS)

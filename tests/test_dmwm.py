@@ -33,10 +33,10 @@ def test_rollout_served_hand_check():
     obs = step(state, (), (3, 1)).next_obs
     record = _decide(DmwmScheduler(cfg), obs)
     assert (record.nodes, record.feasible_count, record.best_reward) == ((0,), 2, 3)
-    served = sum(len(step(state, record.nodes, (0, 0)).served) for _ in range(3))
-    assert served == record.best_reward
+    outcomes = [step(state, record.nodes, (0, 0)) for _ in range(3)]
+    assert sum(len(outcome.served) for outcome in outcomes) == record.best_reward
     rollout = drain_rollout(obs.q, record.nodes, cfg.horizon)
-    assert state.queue_length_timeseries.tolist() == [list(q) for q in rollout.trajectory]
+    assert [obs.q] + [outcome.next_obs.q for outcome in outcomes] == list(rollout.trajectory)
 
 
 def test_served_with_unit_horizon_equals_slot_reward():

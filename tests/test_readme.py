@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import dualmind
-from dualmind import DmwmScheduler, builtin_scenario, reset
+from dualmind import BUILTIN_SCENARIOS, DmwmScheduler, builtin_scenario, reset, run_episode
 from dualmind.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -61,3 +61,27 @@ def test_readme_dotted_names_resolve():
             target = getattr(target, attribute)
         checked.add(name)
     assert {"twin.step", "core.MAX_RATE", "DmwmScheduler.plans", "TwinState.expiring"} <= checked
+
+
+def test_readme_memo_hit_rates_match_the_seed_42_runs():
+    # a planning scheduler consults its memo once a slot and adds one entry per miss
+    prose = " ".join(README.read_text().split())
+    claim = re.search(
+        r"answers (\d+)% of bursty's searches from the memo, (\d+)% of default's and (\d+)% of deadline's", prose
+    )
+    assert claim is not None
+    stated = dict(zip(("bursty", "default", "deadline"), map(int, claim.groups())))
+    measured = {}
+    for name in BUILTIN_SCENARIOS:
+        cfg = builtin_scenario(name)
+        consulted = missed = 0
+        for run_index in range(30):
+            scheduler = DmwmScheduler(cfg)
+            run_episode(cfg, scheduler, run_index, scenario=name)
+            consulted += cfg.steps if scheduler.plans else 0
+            missed += len(scheduler.memo)
+        if name == "interference":  # the 5-ring never plans, so it never consults the memo
+            assert consulted == missed == 0
+        else:
+            measured[name] = round(100 * (consulted - missed) / consulted)
+    assert measured == stated

@@ -1,7 +1,8 @@
 """Digital twin dynamics: step order, purge, overflow, accounting identities."""
 
+import tracemalloc
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -22,8 +23,8 @@ from dualmind.twin import (
     step,
 )
 from dualmind.traffic import traffic_streams
-from dualmind.baselines import lqf_select
-from helpers import make_cfg
+from dualmind.baselines import LqfPolicy, lqf_select
+from helpers import make_cfg, recorded_episode
 from oracles import drain_rollout
 
 
@@ -42,16 +43,15 @@ def test_reset_empty_and_sized():
         state.delivered + state.total_delay + state.deadline_violations
         + sum(state.drops_by_node) + sum(state.arrivals_by_node)
     )
-    assert total == 0
-    assert state.queue_length_timeseries.shape == (200, 5)
-    assert state.schedule_matrix.shape == (200, 5)
-    # queue lengths are 4-byte C ints, read without a copy
-    lengths = state.queue_length_timeseries
-    assert lengths.dtype == np.intc and lengths.itemsize == 4
-    assert lengths.nbytes == cfg.steps * cfg.n_nodes * 4
-    assert np.shares_memory(lengths, np.frombuffer(state.lengths, dtype=np.intc))
-    state.lengths[7 * cfg.n_nodes] = 9  # a write to the buffer shows through the matrix
-    assert lengths[7, 0] == 9
+    assert total == 0 and state.queue_total == 0
+    # a run's state holds nothing per slot, so a million-slot run resets as small as a short one
+    tracemalloc.start()
+    try:
+        reset(replace(cfg, steps=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # an int32 length and a flag per node and slot would take 25 MB
 
 
 def test_observe_empty_queue():
@@ -187,13 +187,17 @@ def test_metrics_zero_traffic():
 
 def test_model_error_matrix_hand_cases():
     state, _ = _quiet_state(n_nodes=2, lambda_base=(0.0, 0.0), deadlines=(None, None), steps=3)
-    step(state, (0,), (3, 0))  # slot 0: the model starts from empty queues
-    step(state, (1,), (0, 2))  # node 1 is scheduled while empty, then gets 2 arrivals
-    step(state, (0,), (0, 0))  # node 0 drains as predicted
-    errors = model_error_matrix(state.queue_length_timeseries, state.schedule_matrix)
+    slots = (
+        ((0,), (3, 0)),  # slot 0: the model starts from empty queues
+        ((1,), (0, 2)),  # node 1 is scheduled while empty, then gets 2 arrivals
+        ((0,), (0, 0)),  # node 0 drains as predicted
+    )
+    lengths = np.array([step(state, schedule, counts).next_obs.q for schedule, counts in slots], np.intc)
+    schedule = np.array([[True, False], [False, True], [True, False]])
+    errors = model_error_matrix(lengths, schedule)
     assert errors.dtype == np.int64
     assert errors.tolist() == [[3, 0], [0, 2], [0, 0]]
-    assert errors[0].tolist() == state.queue_length_timeseries[0].tolist()
+    assert errors[0].tolist() == lengths[0].tolist()
     # computed in int64, so unsigned input cannot wrap: a node gains a packet
     # unscheduled (error 1), then is served as predicted
     errors = model_error_matrix(np.array([[0], [1], [0]], np.uint8), np.array([[False], [False], [True]]))
@@ -209,12 +213,9 @@ def test_simulation_ended():
 
 
 def test_schedule_rows_respect_budget():
-    cfg = builtin_scenario("default")
-    state = reset(cfg)
-    for counts in draw_arrivals(cfg, traffic_streams(cfg.base_seed, 0))[:50]:
-        obs = observe(state)
-        step(state, lqf_select(obs.q, cfg.max_scheduled), counts)
-    assert int(state.schedule_matrix[:50].sum(axis=1).max()) <= cfg.max_scheduled
+    cfg = replace(builtin_scenario("default"), steps=50)
+    _, _, schedule = recorded_episode(cfg, LqfPolicy(cfg))
+    assert int(schedule.sum(axis=1).max()) <= cfg.max_scheduled
 
 
 def _snapshot(state):
@@ -226,8 +227,7 @@ def _snapshot(state):
         state.delivered,
         state.total_delay,
         state.deadline_violations,
-        state.queue_length_timeseries.tolist(),
-        state.schedule_matrix.tolist(),
+        state.queue_total,
     )
 
 
@@ -272,14 +272,15 @@ def test_one_shot_iterable_schedule_is_checked_and_served_once():
         for i in range(5):
             state.queues[i].append(0)
         served = step(state, schedule, quiet).served
-        results.append((served, state.schedule_matrix[0].tolist()))
-    assert results[0] == ((0, 1, 2), [True, True, True, False, False])
+        results.append((served, state.delivered, [len(queue) for queue in state.queues]))
+    assert results[0] == ((0, 1, 2), 3, [0, 0, 0, 1, 1])
     assert results[1] == results[2] == results[0]
 
 
 def test_negative_arrival_count_rejected():
-    # also non-integer counts; node 0 has packets queued, so a half-applied
-    # step would serve it before failing on the row
+    # also non-integer counts and rows that are no sequence of counts; node 0
+    # has packets queued, so a half-applied step would serve it before
+    # failing on the row
     state = reset(make_cfg())
     step(state, (0,), (2, 1, 0, 0, 0))
     before = _snapshot(state)
@@ -287,15 +288,22 @@ def test_negative_arrival_count_rejected():
         step(state, (0,), (-2, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         step(state, (), (0, 0, 0, 0, -1))
-    for row in ((1.5, 0, 0, 0, 0), (1.0, 0, 0, 0, 0), (0, 0, True, 0, 0)):
+    # step reads a row by index, so a mapping keyed 0..N-1 is checked on its values, not its keys
+    with pytest.raises(ValueError, match="negative"):
+        step(state, (0,), {0: -3, 1: 0, 2: 0, 3: 0, 4: 0})
+    for row in ((1.5, 0, 0, 0, 0), (1.0, 0, 0, 0, 0), (0, 0, True, 0, 0), {0: 2, 1: 2.5, 2: 0, 3: 0, 4: 0}):
         with pytest.raises(ValueError, match="integers"):
+            step(state, (0,), row)
+    for row in (None, 5, (c for c in (0, 0, 0, 0, 0)), {1: 0, 2: 0, 3: 0, 4: 0, 5: 0}):
+        with pytest.raises(ValueError, match="not a sequence"):
             step(state, (0,), row)
     assert _snapshot(state) == before
     assert conservation_gap(state) == 0
 
 
 # The twin as it was when every slot wrote straight into numpy arrays: the
-# oracle for the flat per-run buffers and the matrices built from them.
+# oracle for step's outcomes, the run's totals and metrics, and the
+# per-slot matrices recorded from the outcomes.
 @dataclass
 class _OracleState:
     cfg: ScenarioConfig
@@ -384,10 +392,6 @@ def _assert_same_state(state, oracle):
     assert state.deadline_violations == oracle.deadline_violations
     assert state.arrivals_by_node == oracle.arrivals_by_node.tolist()
     assert state.drops_by_node == oracle.drops_by_node.tolist()
-    for name in ("queue_length_timeseries", "schedule_matrix"):
-        got, want = getattr(state, name), getattr(oracle, name)
-        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-        assert np.array_equal(got, want), name
     assert metrics(state) == _oracle_metrics(oracle)
     assert conservation_gap(state) == 0
 
@@ -403,7 +407,7 @@ def _random_cfg(rng, n_nodes):
     )
 
 
-def test_flat_buffers_match_numpy_oracle_on_random_runs():
+def test_twin_matches_numpy_oracle_on_random_runs():
     rng = np.random.default_rng(20261018)
     seen = dict(drops=0, violations=0, wasted=0)
     for trial in range(240):
@@ -411,6 +415,9 @@ def test_flat_buffers_match_numpy_oracle_on_random_runs():
         n = cfg.n_nodes
         state, oracle = reset(cfg), _oracle_reset(cfg)
         _assert_same_state(state, oracle)  # reads before the first slot
+        # the run's per-slot matrices, recorded from the outcomes as dualmind trace records them
+        lengths = np.zeros((cfg.steps, n), dtype=np.intc)
+        scheduled = np.zeros((cfg.steps, n), dtype=bool)
         # the drain-only model's prediction of each slot against the twin
         want_errors = np.zeros((cfg.steps, n), dtype=np.int64)
         rate = float(rng.uniform(0.0, 3.0))
@@ -423,12 +430,16 @@ def test_flat_buffers_match_numpy_oracle_on_random_runs():
             outcome = step(state, schedule, counts)
             assert outcome == _oracle_step(oracle, schedule, counts)
             assert outcome.next_obs == observe(state)
+            lengths[t] = outcome.next_obs.q
+            scheduled[t, list(schedule)] = True
             seen["drops"] += outcome.new_drops
             seen["violations"] += outcome.new_violations
             imagined = drain_rollout(obs.q, schedule, 1).trajectory[1]
             want_errors[t] = [abs(a - b) for a, b in zip(imagined, observe(state).q)]
-            _assert_same_state(state, oracle)  # reads mid-run see zero rows ahead
-        errors = model_error_matrix(state.queue_length_timeseries, state.schedule_matrix)
+            _assert_same_state(state, oracle)  # mid-run metrics count the slots ahead as zero rows
+        assert np.array_equal(lengths, oracle.queue_length_timeseries)
+        assert np.array_equal(scheduled, oracle.schedule_matrix)
+        errors = model_error_matrix(lengths, scheduled)
         assert errors.dtype == want_errors.dtype
         assert np.array_equal(errors, want_errors)
     assert all(count > 0 for count in seen.values()), seen
