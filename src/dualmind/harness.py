@@ -9,9 +9,10 @@ draw. The whole campaign is a pure function of its seeds:
 rerunning it reproduces every record bit for bit, sequentially or across
 worker processes.
 
-Parallel calls share one worker pool, which lives for the whole process.
-The first call with workers > 1 starts it, and every later call with the
-same worker count reuses it; a call with another count replaces it, and a
+A call runs on min(workers, jobs) workers, one job per (scenario, run), and
+calls that run on more than one share one worker pool, which lives for the
+whole process. The first such call starts it, and every later call on the
+same worker count reuses it; a call on another count replaces it, and a
 call that fails drops it, so the next call starts a fresh one. The workers
 are started (forked, on Linux) when the first parallel call starts, so they
 do not see a monkeypatch made after that call. A forked child never
@@ -204,8 +205,9 @@ def run_experiment(
     workers value, an unknown policy name, or a repeated policy name or
     scenario label raises ValueError, and a config that fails
     validate_config raises InvalidConfig, before any episode runs or any
-    worker starts. With workers > 1 the jobs run on the process's shared
-    worker pool (see the module docstring).
+    worker starts. The jobs, one per (scenario, run), run on
+    min(workers, jobs) workers: in this process when that is 1, else on
+    the process's shared worker pool (see the module docstring).
     """
     _check_count("runs", runs, "need at least one run")
     _check_count("workers", workers, "need at least one worker")
@@ -221,6 +223,7 @@ def run_experiment(
     for _, cfg in resolved:
         validate_config(cfg)
     jobs = [(name, cfg, policies, run_index) for name, cfg in resolved for run_index in range(runs)]
+    workers = min(workers, len(jobs))  # a forked pool starts every worker at once, busy or not
     if workers > 1:
         pool = _worker_pool(workers)
         try:

@@ -102,7 +102,7 @@ def generate_arrivals(cfg: ScenarioConfig, t: int, streams: TrafficStreams) -> t
     lo, hi = cfg.burst_amplitude_range
     span = hi - lo
     exp = math.exp
-    # a list first, as in twin.observe: the tuple is allocated at its final size
+    # a list first, as in twin.step: the tuple is allocated at its final size
     counts = []
     append = counts.append
     for i, base in enumerate(cfg.lambda_base):

@@ -7,11 +7,11 @@ packet can never be served in the slot it arrives. The arrivals come in
 as the slot's per-node counts: draw_arrivals draws every slot's counts of
 a run up front, so policies sharing a run's traffic can share the rows.
 
-A step sorts the schedule once and checks it in one pass over the sorted
-ids. Each phase after that is one pass: one over the queues that carry a
-deadline (listed once by reset) to purge, one over the sorted schedule to
-serve, and one over every node to admit arrivals and build the
-observation of the next slot, which the step returns as next_obs.
+A step checks the schedule and the arrival row in the one form each
+policy and draw_arrivals produce, and converts neither. Each phase after
+that is one pass: one over the queues that carry a deadline (listed once
+by reset) to purge, one over the schedule to serve, and one over every
+node to admit arrivals and build the next slot's observation (next_obs).
 
 A step does no numpy work and keeps no per-slot record: a run's state is
 its queues and its totals, one of which sums every slot's queue lengths
@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,10 +112,7 @@ def observe(state: TwinState) -> Observation:
     slot while it records the arrivals and returns it as next_obs, so an
     episode calls observe only at slot 0.
     """
-    # Built from lists, so each tuple is allocated at its final size and can
-    # reuse a freed one. A tuple built from a generator is allocated afresh
-    # at a guessed size, which adds to the cyclic collector's allocation
-    # count on every slot and makes its collections run more often.
+    # lists first, as in step
     q = tuple([len(queue) for queue in state.queues])
     ages = tuple([state.t - queue[0] if queue else None for queue in state.queues])
     return Observation(q=q, oldest_age=ages, t=state.t)
@@ -126,50 +123,44 @@ def draw_arrivals(cfg: ScenarioConfig, streams: TrafficStreams) -> list[tuple[in
     return [generate_arrivals(cfg, t, streams) for t in range(cfg.steps)]
 
 
-def step(state: TwinState, schedule: Iterable[int], counts: Sequence[int]) -> StepOutcome:
+def step(state: TwinState, schedule: tuple[int, ...], counts: tuple[int, ...]) -> StepOutcome:
     """Advance one slot: purge expired packets, serve the schedule, inject arrivals, record.
 
-    schedule is an iterable of distinct node ids, each exactly a Python int
-    (not a bool or a numpy integer); it is read once. counts holds the slot's
-    arrivals per node as non-negative Python ints, as a row of
-    draw_arrivals does; it is read by index, counts[0] to counts[n - 1], and
-    checked the same way. Service is one packet per scheduled node, in node
-    order; a scheduled node with an empty queue wastes its slot. A rejected
-    schedule or row raises ValueError and leaves the state untouched. The
-    outcome carries the observation of the next slot, equal to
-    observe(state) after the step, built while the arrivals are recorded.
+    schedule is a tuple of at most max_scheduled node ids in strictly
+    ascending order, each a Python int (not a bool or a numpy integer) in
+    0..N-1; counts is a tuple of the slot's N arrival counts, each a
+    non-negative Python int. Anything else raises ValueError and leaves the
+    state untouched. Service is one packet per scheduled node, in node
+    order; a scheduled node with an empty queue wastes its slot. The outcome
+    carries the observation of the next slot, equal to observe(state) after
+    the step, built while the arrivals are recorded.
     """
     cfg = state.cfg
     t = state.t
     n = cfg.n_nodes
     if t >= cfg.steps:
         raise SimulationEnded(f"run is complete after {cfg.steps} slots")
-    try:
-        order = sorted(schedule)
-    except TypeError:  # not iterable, or ids that do not compare, such as 'a' beside an int
-        raise ValueError("schedule is not an iterable of comparable node ids") from None
-    if len(order) > cfg.max_scheduled:
+    if type(schedule) is not tuple:
+        raise ValueError("schedule must be a tuple of node ids")
+    if len(schedule) > cfg.max_scheduled:
         raise ValueError("schedule exceeds the per-slot transmission budget")
     previous = -1
-    for i in order:
+    for i in schedule:
         if type(i) is not int:
             raise ValueError("schedule names a node by a bool or a non-integer id")
-        if i == previous:
-            raise ValueError("schedule names a node twice")
+        if i <= previous:  # a repeat, a negative id or an unsorted one
+            raise ValueError("schedule ids must be distinct, non-negative and ascending")
         previous = i
-    if order and not (0 <= order[0] and order[-1] < n):
+    if previous >= n:
         raise ValueError("schedule names an unknown node")
-    try:
-        if len(counts) != n:
-            raise ValueError("need one arrival count per node")
-        for i in range(n):  # by index, as the arrivals are read: a mapping's keys are not its counts
-            count = counts[i]
-            if type(count) is not int:
-                raise ValueError("arrival counts must be integers")
-            if count < 0:
-                raise ValueError("arrival counts cannot be negative")
-    except (TypeError, LookupError):  # no length, or no count at some index 0..n-1
-        raise ValueError("arrival counts are not a sequence of one count per node") from None
+    if type(counts) is not tuple or len(counts) != n:
+        raise ValueError("need a tuple of one arrival count per node")
+    for i in range(n):  # by index: a range iterator is not tracked by the gc
+        count = counts[i]
+        if type(count) is not int:
+            raise ValueError("arrival counts must be integers")
+        if count < 0:
+            raise ValueError("arrival counts cannot be negative")
     queues = state.queues
 
     # 1) deadline purge: expired packets leave the queue and count as violations
@@ -184,7 +175,7 @@ def step(state: TwinState, schedule: Iterable[int], counts: Sequence[int]) -> St
     # 2) service: each scheduled node with a backlog sends its head packet
     served: list[int] = []
     delay = 0
-    for i in order:
+    for i in schedule:
         queue = queues[i]
         if queue:
             served.append(i)
@@ -197,6 +188,9 @@ def step(state: TwinState, schedule: Iterable[int], counts: Sequence[int]) -> St
     buffer = cfg.buffer
     next_t = t + 1
     new_drops = 0
+    # Lists, copied into tuples at the end: each tuple is allocated at its final
+    # size and can reuse a freed one, where a tuple built from a generator is
+    # allocated afresh every slot and adds to the cyclic collector's count.
     q: list[int] = []
     ages: list[int | None] = []
     for i in range(n):  # no enumerate: one gc-tracked allocation fewer

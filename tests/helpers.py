@@ -22,6 +22,11 @@ def sha256_of(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def arrival_rows_text(rows):
+    """Arrival rows in the text their golden digest is taken of: one line of space-separated per-node counts per slot."""
+    return "".join(" ".join(str(c) for c in row) + "\n" for row in rows)
+
+
 def builtin_entries(names=BUILTIN_SCENARIOS, **overrides):
     """(name, config) scenario entries for run_experiment: builtins with fields replaced."""
     return [(name, replace(builtin_scenario(name), **overrides)) for name in names]

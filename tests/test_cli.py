@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ import pytest
 from dualmind.cli import main
 from dualmind.core import BUILTIN_SCENARIOS, Provenance, builtin_scenario, scenario_to_dict, validate_config
 from dualmind.dmwm import DmwmScheduler
+from dualmind.harness import run_experiment, write_runs_csv
 from dualmind.twin import model_error_matrix
+import rewrite_goldens
 from helpers import GOLDEN_SHA256, make_cfg, recorded_episode, sha256_of
 
 
@@ -228,6 +231,20 @@ def test_run_matches_golden(tmp_path, command):
         assert sha256_of(tmp_path / name) == golden, name
 
 
+def test_run_horizon_reaches_the_planner(tmp_path):
+    # the golden qlearn command passes --horizon too, but qlearn ignores it
+    written = {}
+    for horizon in ("1", "3"):
+        out = tmp_path / f"h{horizon}"
+        argv = ["run", "--policy", "dmwm", "--horizon", horizon, "--steps", "40", "--runs", "2", "--seed", "7"]
+        assert main(argv + ["--out", str(out)]) == 0
+        written[horizon] = (out / "runs.csv").read_text()
+    cfg = replace(builtin_scenario("default"), base_seed=7, steps=40, horizon=1)
+    write_runs_csv(tmp_path / "expected.csv", run_experiment(scenarios=[("default", cfg)], policies=("dmwm",), runs=2))
+    assert written["1"] == (tmp_path / "expected.csv").read_text()
+    assert written["1"] != written["3"]
+
+
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_campaign_rejects_bad_step_override(tmp_path, capsys, steps):
     assert main(["campaign", "--runs", "1", "--steps", steps, "--out", str(tmp_path / "c")]) == 2
@@ -301,6 +318,12 @@ def test_trace_decisions_match_golden(tmp_path, scenario):
     for name in ("decisions.csv", "schedule.csv", "model_error.csv", "queue_lengths.csv"):
         golden = GOLDEN_SHA256[f"trace --seed 42 {name}"][scenario]
         assert sha256_of(tmp_path / name) == golden, name
+
+
+def test_golden_rewrite_table_names_every_golden_entry():
+    # tests/rewrite_goldens.py regenerates the goldens; the suite never runs it, only checks its table
+    golden = {(key, name) for key, names in GOLDEN_SHA256.items() for name in names}
+    assert set(rewrite_goldens.entries()) == golden and len(golden) == 29
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

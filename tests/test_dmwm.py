@@ -356,21 +356,40 @@ def test_memoized_trace_equals_a_search_every_slot(name, monkeypatch):
 def test_memoized_decisions_equal_a_search_every_slot_on_random_states():
     rng = np.random.default_rng(2121)
     hits = 0
+    fast = {False: 0, True: 0}  # fast-mind decisions by fallback variant
     for _ in range(150):
         n = int(rng.integers(1, 8))
         _, _, deadlines, pairs = random_state(rng, n, 0.3, 0.3)  # pairs either way round
         cfg = make_cfg(
             n_nodes=n, max_scheduled=int(rng.integers(1, n + 1)), horizon=int(rng.integers(1, 4)),
-            deadlines=deadlines, pairs=pairs,
+            deadlines=deadlines, pairs=pairs, fallback_conflict_aware=bool(rng.integers(2)),
         )
         scheduler, masks = DmwmScheduler(cfg), conflict_masks(cfg)
         for t in range(30):
             q, ages, _, _ = random_state(rng, n, 0.3, 0.3)
             obs = _obs(q, ages, t)
-            assert _decide(scheduler, obs) == _memo_free_decide(obs, cfg, masks)
+            record = _decide(scheduler, obs)
+            assert record == _memo_free_decide(obs, cfg, masks)
+            fast[cfg.fallback_conflict_aware] += record.provenance is Provenance.FAST_MIND
         assert len(scheduler.memo) <= 30
         hits += 30 - len(scheduler.memo) if scheduler.plans else 0
     assert hits >= 1000  # most decisions above were answered from the memo
+    assert min(fast.values()) >= 100  # both fallbacks decided through the scheduler
+
+
+def test_conflict_aware_fallback_on_the_interference_ring():
+    # no conflict-free 3-set on the 5-ring, so every slot is the conflict-aware fast mind's
+    cfg = replace(builtin_scenario("interference"), fallback_conflict_aware=True)
+    masks = conflict_masks(cfg)
+    for run_index in range(3):
+        policy = _Recorder(cfg)
+        run_episode(cfg, policy, run_index=run_index)
+        assert [_memo_free_decide(obs, cfg, masks) for obs in policy.seen] == policy.trace
+        for obs, record in zip(policy.seen, policy.trace):
+            assert record.provenance is Provenance.FAST_MIND
+            assert all(obs.q[i] > 0 for i in record.nodes), obs
+            assert not any(cfg.conflict_graph.contains(i, j) for i in record.nodes for j in record.nodes if i < j)
+        assert any(len(record.nodes) == 2 for record in policy.trace)  # a ring of 5 fits two apart
 
 
 def test_queues_that_cap_alike_share_one_search(monkeypatch):

@@ -346,6 +346,23 @@ def test_changing_workers_replaces_the_pool(monkeypatch):
     assert len(_worker_pids()) == 2
 
 
+def test_no_more_workers_than_jobs(monkeypatch):
+    # a forked pool starts all its workers at the first submit, so a worker
+    # without a job would be forked for nothing
+    started = []
+
+    def recorded(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", recorded)
+    one_job = dict(scenarios=builtin_entries(("default",), steps=20), policies=("lqf", "dmwm"), runs=1)
+    _assert_parallel_matches(3, **one_job)
+    assert started == [] and harness._pool is None and _worker_pids() == set()
+    _assert_parallel_matches(3, **dict(one_job, runs=2))
+    assert started == [2] and harness._pool_workers == 2 and len(_worker_pids()) == 2
+
+
 class _FailingPolicy:
     """A policy whose every decision raises."""
 

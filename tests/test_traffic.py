@@ -23,7 +23,7 @@ from dualmind.traffic import (
     traffic_streams,
 )
 from dualmind.twin import draw_arrivals
-from helpers import GOLDEN_SHA256, make_cfg, no_draw, poisson_counts
+from helpers import GOLDEN_SHA256, arrival_rows_text, make_cfg, no_draw, poisson_counts
 
 
 def _rate_seen(cfg, t, bursts=lambda: no_draw):
@@ -158,8 +158,7 @@ def test_arrivals_match_golden(name):
     assert cfg.base_seed == 42
     rows = draw_arrivals(cfg, traffic_streams(cfg.base_seed, 0))
     assert len(rows) == cfg.steps
-    text = "".join(" ".join(str(c) for c in row) + "\n" for row in rows)
-    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    digest = hashlib.sha256(arrival_rows_text(rows).encode("ascii")).hexdigest()
     assert digest == GOLDEN_SHA256["generate_arrivals seed 42 run 0"][name]
 
 

@@ -232,70 +232,53 @@ def _snapshot(state):
 
 
 def test_oversized_or_alien_schedule_rejected():
-    state, quiet = _quiet_state()
-    with pytest.raises(ValueError):
-        step(state, (0, 1, 2, 3), quiet)
-    with pytest.raises(ValueError):
-        step(state, (9,), quiet)
-    with pytest.raises(ValueError):
-        step(state, (2, 2), quiet)  # a repeated id would be served twice
-    with pytest.raises(ValueError):
-        step(state, (), (0, 0, 0, 0))  # one arrival count short
-    assert state.t == 0  # a rejected schedule changes nothing
-
-    # node 0 holds an expired head packet and node 1 a backlog, so a step
-    # that got as far as its purge or its service would show in the snapshot
+    # and any arrival row in another form, from one table: a schedule is
+    # exactly an ascending tuple of in-range int ids, at most K of them, as
+    # every policy returns it, and a row exactly a tuple of N non-negative
+    # int counts, as draw_arrivals returns it. Node 0 holds an
+    # expired head packet and node 1 a backlog, so a step that got as far as
+    # its purge or its service before failing would show in the snapshot.
     state, quiet = _quiet_state(deadlines=(2, None, None, None, None))
     state.queues[0].extend([0, 2])
     state.queues[1].append(2)
     state.t = 3
     before = _snapshot(state)
-    # every id must be exactly a Python int; ids that do not compare fail in the sort
-    alien = (
-        (1.5,), (0, 1.0), (np.float64(1.0),), (np.int64(1),), (-1,), (1, 1),
-        (True,), (0, False), ("a",), (None,), (0, "a"),
+    schedules = (
+        [0, 1], (i for i in (0, 1)), iter((0, 1)), range(2), {0, 1}, {0: 1}, None, 0, "01",
+        (1, 0), (0, 2, 1), (1, 1), (0, 1, 1), (-1,), (-1, 0),
+        (True,), (0, True), (np.int64(1),), (0, np.intc(1)), (1.0,), (0, 1.5), (np.float64(1.0),),
+        ("a",), (0, "a"), (None,), (0, None), (0, 1, 2, 3), (5,), (0, 9),
     )
-    for schedule in alien:
+    rows = (
+        [0, 0, 0, 0, 0], {0: 0, 1: 0, 2: 0, 3: 0, 4: 0}, (c for c in quiet), iter(quiet), range(5),
+        np.zeros(5, dtype=int), None, 0, "00000", (0, 0, 0, 0), (0,) * 6,
+        (-1, 0, 0, 0, 0), (0, 0, 0, 0, -3), (True, 0, 0, 0, 0), (0, 0, False, 0, 0),
+        (1.0, 0, 0, 0, 0), (0, 0, 0, 0, 0.5), (np.int64(1), 0, 0, 0, 0), ("1", 0, 0, 0, 0), (None, 0, 0, 0, 0),
+    )
+    for schedule, row in [(schedule, quiet) for schedule in schedules] + [((0,), row) for row in rows]:
         with pytest.raises(ValueError):
-            step(state, schedule, quiet)
-        assert _snapshot(state) == before, schedule
-    served = step(state, (1,), quiet).served
-    assert served == (1,) and type(served[0]) is int
-    assert step(state, (0,), quiet).served == (0,)
+            step(state, schedule, row)
+        assert _snapshot(state) == before, (schedule, row)
+    served = step(state, (0, 1), quiet).served  # the same state still steps, purge first
+    assert served == (0, 1) and all(type(i) is int for i in served)
     assert state.deadline_violations == 1
 
 
-def test_one_shot_iterable_schedule_is_checked_and_served_once():
-    results = []
-    for schedule in ((0, 1, 2), (i for i in (0, 1, 2)), iter([0, 1, 2])):
-        state, quiet = _quiet_state()
-        for i in range(5):
-            state.queues[i].append(0)
-        served = step(state, schedule, quiet).served
-        results.append((served, state.delivered, [len(queue) for queue in state.queues]))
-    assert results[0] == ((0, 1, 2), 3, [0, 0, 0, 1, 1])
-    assert results[1] == results[2] == results[0]
-
-
 def test_negative_arrival_count_rejected():
-    # also non-integer counts and rows that are no sequence of counts; node 0
-    # has packets queued, so a half-applied step would serve it before
-    # failing on the row
+    # also non-integer counts; node 0 has packets queued, so a half-applied
+    # step would serve it before failing on the row
     state = reset(make_cfg())
     step(state, (0,), (2, 1, 0, 0, 0))
     before = _snapshot(state)
-    with pytest.raises(ValueError):
-        step(state, (0,), (-2, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        step(state, (), (0, 0, 0, 0, -1))
-    # step reads a row by index, so a mapping keyed 0..N-1 is checked on its values, not its keys
-    with pytest.raises(ValueError, match="negative"):
-        step(state, (0,), {0: -3, 1: 0, 2: 0, 3: 0, 4: 0})
-    for row in ((1.5, 0, 0, 0, 0), (1.0, 0, 0, 0, 0), (0, 0, True, 0, 0), {0: 2, 1: 2.5, 2: 0, 3: 0, 4: 0}):
+    for row in ((-2, 0, 0, 0, 0), (0, 0, 0, 0, -1)):
+        with pytest.raises(ValueError, match="negative"):
+            step(state, (0,), row)
+    for row in ((1.5, 0, 0, 0, 0), (1.0, 0, 0, 0, 0), (0, 0, True, 0, 0)):
         with pytest.raises(ValueError, match="integers"):
             step(state, (0,), row)
-    for row in (None, 5, (c for c in (0, 0, 0, 0, 0)), {1: 0, 2: 0, 3: 0, 4: 0, 5: 0}):
-        with pytest.raises(ValueError, match="not a sequence"):
+    # a row is a tuple: a list or a mapping of the same counts is not read
+    for row in ([2, 1, 0, 0, 0], {0: -3, 1: 0, 2: 0, 3: 0, 4: 0}, None):
+        with pytest.raises(ValueError, match="tuple"):
             step(state, (0,), row)
     assert _snapshot(state) == before
     assert conservation_gap(state) == 0
